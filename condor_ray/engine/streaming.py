@@ -36,8 +36,9 @@ the repo) designed in explicitly:
   windows_emitted (emits are async there).
 - **Checkpoint/resume**: every ``checkpoint_every`` fragments the driver
   collects actor snapshots + its own cursor and writes an atomic checkpoint
-  dir; ``resume=True`` restores the newest checkpoint and replays only the
-  remaining fragments.
+  dir; ``resume=True`` restores the newest checkpoint (by fragment cursor),
+  cuts the manifest back to that cursor and replays only the remaining
+  fragments, so each fragment is recorded once.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from ..state.store import PartitionStateStore
 from ..synopses.base import Synopsis
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
 from .batch import _common_slice_us, _window_kind
+from .checkpoint import latest_checkpoint, truncate_manifest
 
 _NEG_INF = -(2**62)
 
@@ -449,12 +451,9 @@ class StreamingSynopsisJob:
         """Restore the newest checkpoint; returns True if one was found."""
         if not self.checkpoint_dir:
             return False
-        ckpts = sorted(
-            d for d in os.listdir(self.checkpoint_dir) if d.startswith("ckpt-")
-        )
-        if not ckpts:
+        path = latest_checkpoint(self.checkpoint_dir)
+        if path is None:
             return False
-        path = os.path.join(self.checkpoint_dir, ckpts[-1])
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
         if meta["parallelism"] != self.parallelism:
@@ -470,6 +469,7 @@ class StreamingSynopsisJob:
         self.closed_through = list(meta["closed_through"])
         self.total_late = meta["total_late"]
         self.total_rows = meta["total_rows"]
+        truncate_manifest(self.out_dir, self.next_fragment)
         return True
 
     # -- close cycle -------------------------------------------------------

@@ -31,6 +31,7 @@ import ray
 
 from ..pipelines.cep import Step, find_match_starts, find_relaxed_matches
 from ..stages.extract import stable_partition_order, ts_to_us
+from .checkpoint import latest_checkpoint, truncate_manifest
 from .emit import atomic_emit
 from .streaming import _NEG_INF, conv_partition_ids
 
@@ -504,12 +505,9 @@ class StreamingPatternJob:
     def resume(self) -> bool:
         if not self.checkpoint_dir:
             return False
-        ckpts = sorted(
-            d for d in os.listdir(self.checkpoint_dir) if d.startswith("ckpt-")
-        )
-        if not ckpts:
+        path = latest_checkpoint(self.checkpoint_dir)
+        if path is None:
             return False
-        path = os.path.join(self.checkpoint_dir, ckpts[-1])
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
         if meta["parallelism"] != self.parallelism:
@@ -523,6 +521,7 @@ class StreamingPatternJob:
         self.watermark = meta["watermark"]
         self.total_late = meta["total_late"]
         self.total_rows = meta["total_rows"]
+        truncate_manifest(self.out_dir, self.next_fragment)
         return True
 
     def run(self, fragment_paths: list[str], resume: bool = False,

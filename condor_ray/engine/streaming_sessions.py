@@ -45,6 +45,7 @@ from ..stages.extract import KeyExtractor, stable_partition_order, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.registry import make_synopsis
 from ..windows import SessionWindow
+from .checkpoint import latest_checkpoint, truncate_manifest
 from .emit import atomic_emit
 from .streaming import _NEG_INF, conv_partition_ids
 
@@ -373,12 +374,9 @@ class StreamingSessionJob:
     def resume(self) -> bool:
         if not self.checkpoint_dir:
             return False
-        ckpts = sorted(
-            d for d in os.listdir(self.checkpoint_dir) if d.startswith("ckpt-")
-        )
-        if not ckpts:
+        path = latest_checkpoint(self.checkpoint_dir)
+        if path is None:
             return False
-        path = os.path.join(self.checkpoint_dir, ckpts[-1])
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
         if meta["parallelism"] != self.parallelism:
@@ -392,6 +390,7 @@ class StreamingSessionJob:
         self.watermark = meta["watermark"]
         self.total_late = meta["total_late"]
         self.total_rows = meta["total_rows"]
+        truncate_manifest(self.out_dir, self.next_fragment)
         return True
 
     def run(self, fragment_paths: list[str], resume: bool = False,

@@ -1289,21 +1289,29 @@ def word_rarity_scores(
         bounds = np.concatenate([[0], np.cumsum(lens)])
         cs = np.concatenate([[0], np.cumsum(c)])
         rarity = (cs[bounds[1:]] - cs[bounds[:-1]]).astype(np.int64)
-        # segment min via reduceat; empty segments (repeated/oob starts)
-        # are poisoned by reduceat semantics — mask them to 0 afterwards
-        starts = np.minimum(bounds[:-1], len(c) - 1)
-        minc = np.minimum.reduceat(c, starts).astype(np.int64)
-        minc[lens == 0] = 0
         return pa.table(
             {
                 id_col: pc.cast(batch[id_col], pa.int64()),
                 "n_words": pa.array(lens),
                 "rarity_sum": pa.array(rarity),
-                "min_count": pa.array(minc),
+                "min_count": pa.array(_segment_min(c, lens)),
             }
         )
 
     return ds.map_batches(stage, batch_format="pyarrow")
+
+
+def _segment_min(c: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Per-doc min of ``c`` over consecutive segments of ``lens`` words;
+    0 for zero-word docs.  ``reduceat`` runs over the nonempty segments
+    only: a repeated or clamped start would end the previous segment early
+    (zero-word docs at the end of a batch cut short the last real doc)."""
+    minc = np.zeros(len(lens), dtype=np.int64)
+    nz = lens > 0
+    if nz.any():
+        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+        minc[nz] = np.minimum.reduceat(c, starts[nz])
+    return minc
 
 
 def word_rarity_sql(docs_table: str = "documents",

@@ -6,7 +6,8 @@ row-loop replaced by vectorized NumPy kernels (bincount scatter-adds).
 Preserved quirks:
 - keys are int32 (reference hashes ``Number.intValue()`` — CountMinSketch.java:58-64);
 - Bloom ``merge`` is bitwise **AND** (BloomFilter.java:121);
-- HLL ``merge`` recomputes + caches the estimate (HyperLogLogSketch.java:88);
+- HLL ``merge`` recomputes + caches the estimate (HyperLogLogSketch.java:88),
+  resolved lazily here to the same value;
 - H3 hash values are abs-valued before the modulo.
 """
 
@@ -301,6 +302,14 @@ class HyperLogLogSketch(Synopsis):
     trailing-zeros + 1 (:65-68); merge = register max + estimate recompute
     (:74-90); estimator with linear counting below 2.5m (:115-146).
 
+    ``distinct_item_count`` is the estimate cached at the last merge, as in
+    the reference.  Here ``merge`` only takes the register max and marks the
+    cache stale; the estimate is computed when the count is read (directly,
+    or through ``state_dict``/``to_bytes``) and before ``update_batch`` /
+    ``apply_precomputed`` change the registers.  The value is therefore the
+    reference's, but a window close that folds k partials pays for one
+    estimate per emitted payload instead of one per merge.
+
     Preserved reference quirk: because both H3 hashes are abs-valued, bit 63
     of the combined hash is always 0, so only the lower HALF of the register
     space is ever addressable.  Estimates are accurate for cardinalities well
@@ -320,7 +329,23 @@ class HyperLogLogSketch(Synopsis):
         self.seed = int(seed)
         self.hash_functions = H3HashFunctions(2, self.seed)
         self.registers = np.zeros(self.reg_num, dtype=np.int8)
-        self.distinct_item_count = 0
+        self._count = 0
+        self._count_stale = False  # a merge happened since _count was set
+
+    def _settle(self) -> None:
+        """Resolve a merge-stale estimate (before the registers change)."""
+        if self._count_stale:
+            self.distinct_items_estimator()
+
+    @property
+    def distinct_item_count(self) -> int:
+        self._settle()
+        return self._count
+
+    @distinct_item_count.setter
+    def distinct_item_count(self, value: int) -> None:
+        self._count = value
+        self._count_stale = False
 
     def _index_zeros(self, values: np.ndarray):
         h = self.hash_functions.hash_batch(values)  # (n, 2) non-negative int32
@@ -335,6 +360,7 @@ class HyperLogLogSketch(Synopsis):
 
     def update_batch(self, values: np.ndarray, timestamps=None) -> None:
         index, zeros = self._index_zeros(values)
+        self._settle()
         np.maximum.at(self.registers, index, zeros)
 
     # -- grouped-ingest fast path ------------------------------------------
@@ -343,6 +369,7 @@ class HyperLogLogSketch(Synopsis):
 
     def apply_precomputed(self, pre, idx: np.ndarray) -> None:
         index, zeros = pre
+        self._settle()
         np.maximum.at(self.registers, index[idx], zeros[idx])
 
     def merge(self, other: "HyperLogLogSketch") -> "HyperLogLogSketch":
@@ -353,7 +380,10 @@ class HyperLogLogSketch(Synopsis):
         ):
             raise ValueError("attempted union of non matching HLogLog classes")
         np.maximum(self.registers, other.registers, out=self.registers)
-        self.distinct_items_estimator()  # quirk: merge caches the estimate
+        # quirk: merge caches the estimate.  It is resolved lazily, on the
+        # next read or register update, to the value an eager recompute here
+        # would have cached.
+        self._count_stale = True
         return self
 
     def distinct_items_estimator(self) -> int:
@@ -361,10 +391,12 @@ class HyperLogLogSketch(Synopsis):
         alpha = {4: 0.673, 5: 0.697, 6: 0.709}.get(
             self.log_reg_num, 0.7213 / (1 + (1.079 / m))
         )
-        raw = 1.0 / np.power(2.0, -self.registers.astype(np.float64)).sum()
+        # ldexp yields the same exact powers of two as np.power(2.0, -r), so
+        # the (pairwise) sum is bit-identical, at a fraction of the cost
+        raw = 1.0 / np.ldexp(1.0, -self.registers.astype(np.int32)).sum()
         raw = raw * alpha * m * m
         result = math.floor(raw + 0.5)  # Math.round
-        zero_regs = int((self.registers == 0).sum())
+        zero_regs = m - int(np.count_nonzero(self.registers))
         if zero_regs > 0 and raw < 2.5 * m:
             result = math.floor(m * math.log(m / float(zero_regs)) + 0.5)
         self.distinct_item_count = result
@@ -374,7 +406,7 @@ class HyperLogLogSketch(Synopsis):
         return (self.log_reg_num, self.seed)
 
     def state_dict(self):
-        nz = np.flatnonzero(self.registers)
+        nz = np.flatnonzero(self.registers != 0)  # bool mask: ~7x faster on int8
         if len(nz) * 5 < self.reg_num:
             return {
                 "sparse_idx": nz.astype(np.int32),
@@ -393,6 +425,16 @@ class HyperLogLogSketch(Synopsis):
         else:
             self.registers = state["registers"]
         self.distinct_item_count = state["distinct_item_count"]
+
+    def copy(self) -> "HyperLogLogSketch":
+        """Registers copied directly, stale estimate carried over: no
+        ``state_dict`` round trip and no estimate forced."""
+        obj = type(self)(*self._ctor_args())
+        obj.registers = self.registers.copy()
+        obj._count = self._count
+        obj._count_stale = self._count_stale
+        obj.partition_value = self.partition_value
+        return obj
 
 
 class BloomFilter(Synopsis):

@@ -1561,6 +1561,55 @@ class TestWordRarity:
         assert (want.loc[want.doc_id.isin([-5, -4, -3]), "n_words"] == 0).all()
         assert want["rarity_sum"].max() > 0
 
+    def test_segment_min_trailing_zero_word_doc(self):
+        """A zero-word doc ending the batch must not cut short the segment
+        of the doc before it."""
+        from condor_ray.pipelines.textstats import _segment_min
+
+        got = _segment_min(np.array([5, 1]), np.array([2, 0]))
+        assert got.tolist() == [1, 0]
+        got = _segment_min(np.array([3, 9, 2, 7]), np.array([0, 2, 0, 2, 0, 0]))
+        assert got.tolist() == [0, 3, 0, 2, 0, 0]
+        assert _segment_min(np.array([], dtype=np.int64), np.array([0, 0])).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("last_text", ["", None])
+    def test_trailing_empty_doc_single_partition_vs_duckdb_twin(
+        self, ray_session, last_text
+    ):
+        """One partition, one batch, whose last row has no words: the doc
+        before it keeps its true min_count (the twin's MIN)."""
+        import duckdb
+
+        from condor_ray.pipelines.textstats import (
+            word_rarity_scores,
+            word_rarity_sql,
+        )
+
+        docs = pd.DataFrame(
+            {
+                "doc_id": np.arange(4, dtype=np.int64),
+                "text": pd.array(
+                    ["a a a b", "a b c", "c c a rare", last_text], dtype="string"
+                ),
+            }
+        )
+        con = duckdb.connect()
+        con.register("documents", docs)
+        want = (
+            con.execute(word_rarity_sql("documents"))
+            .df()
+            .sort_values("doc_id")
+            .reset_index(drop=True)
+        )
+        got = (
+            word_rarity_scores(rd.from_pandas(docs).repartition(1), n_parts=2)
+            .to_pandas()
+            .sort_values("doc_id")
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got, want)
+        assert want["min_count"].tolist() == [2, 2, 1, 0]
+
     def test_cross_corpus_scoring_unseen_words_count_zero(self, ray_session):
         """Scoring dataset B against corpus A's statistics: B-only words
         count 0 on both sides (hash miss == LEFT JOIN NULL -> 0)."""

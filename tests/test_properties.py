@@ -11,6 +11,9 @@ gate and engine tests cover the distributed plumbing that relies on them.
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,3 +195,105 @@ def test_ddsketch_merge_tree_order_free_without_collapse(vals, k, seed):
     sequential = DDSketch(0.01, 4096)
     sequential.update_batch(values)
     assert state(merged) == state(sequential)
+
+
+class _EagerHLL:
+    """Inline oracle for the reference HLL semantics: every merge recomputes
+    the estimate eagerly with ``np.power`` and caches it; serialization
+    follows the reference state layout (sparse below 1/5 fill)."""
+
+    def __init__(self, log_reg_num: int):
+        self.proto = HyperLogLogSketch(log_reg_num, 7)  # hashing only
+        self.log_reg_num = log_reg_num
+        self.registers = np.zeros(1 << log_reg_num, dtype=np.int8)
+        self.count = 0
+
+    def update(self, values: np.ndarray) -> None:
+        index, zeros = self.proto._index_zeros(values)
+        np.maximum.at(self.registers, index, zeros)
+
+    def merge(self, other: "_EagerHLL") -> None:
+        np.maximum(self.registers, other.registers, out=self.registers)
+        m = len(self.registers)
+        alpha = {4: 0.673, 5: 0.697, 6: 0.709}.get(
+            self.log_reg_num, 0.7213 / (1 + (1.079 / m))
+        )
+        raw = 1.0 / np.power(2.0, -self.registers.astype(np.float64)).sum()
+        raw = raw * alpha * m * m
+        self.count = math.floor(raw + 0.5)
+        zero_regs = int((self.registers == 0).sum())
+        if zero_regs > 0 and raw < 2.5 * m:
+            self.count = math.floor(m * math.log(m / float(zero_regs)) + 0.5)
+
+    def copy(self) -> "_EagerHLL":
+        out = _EagerHLL(self.log_reg_num)
+        out.registers = self.registers.copy()
+        out.count = self.count
+        return out
+
+    def to_bytes(self) -> bytes:
+        nz = np.flatnonzero(self.registers)
+        if len(nz) * 5 < len(self.registers):
+            state = {"sparse_idx": nz.astype(np.int32),
+                     "sparse_val": self.registers[nz],
+                     "distinct_item_count": self.count}
+        else:
+            state = {"registers": self.registers,
+                     "distinct_item_count": self.count}
+        return pickle.dumps(
+            (1, "HyperLogLogSketch", (self.log_reg_num, 7), state, None),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+
+
+_HLL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["update", "apply", "merge", "copy", "serde", "to_bytes"]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(st.integers(-(2**31), 2**31 - 1), max_size=120),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 6, 9]), _HLL_OPS)
+def test_hll_lazy_estimate_matches_eager_oracle(log_reg_num, ops):
+    """Random interleavings of update_batch / apply_precomputed / merge /
+    copy / to_bytes / from_bytes: the lazily resolved estimate and the
+    serialized bytes equal the eager reference after every step.  Each step
+    is checked on a copy (which carries the stale flag), so a stale estimate
+    stays unresolved on the live sketch into the next step."""
+    from condor_ray.synopses import Synopsis
+
+    new = [HyperLogLogSketch(log_reg_num, 7) for _ in range(3)]
+    ref = [_EagerHLL(log_reg_num) for _ in range(3)]
+    for op, i, j, keys in ops:
+        values = np.asarray(keys, dtype=np.int32)
+        if op == "update":
+            new[i].update_batch(values)
+            ref[i].update(values)
+        elif op == "apply":
+            pre = new[j].precompute_batch(values)
+            idx = np.arange(0, len(values), 2)
+            new[i].apply_precomputed(pre, idx)
+            ref[i].update(values[idx])
+        elif op == "merge":
+            new[i].merge(new[j])
+            ref[i].merge(ref[j])
+        elif op == "copy":
+            new[j] = new[i].copy()
+            ref[j] = ref[i].copy()
+        elif op == "serde":
+            new[i] = Synopsis.from_bytes(new[i].to_bytes())
+        else:
+            assert new[i].to_bytes() == ref[i].to_bytes()
+        for a, b in zip(new, ref):
+            probe = a.copy()
+            assert probe.distinct_item_count == b.count
+            assert probe.to_bytes() == b.to_bytes()
+    for a, b in zip(new, ref):
+        assert a.distinct_item_count == b.count
+        assert a.to_bytes() == b.to_bytes()

@@ -152,6 +152,64 @@ class TestHLL:
             m = m.merge(p)
         assert (m.registers == whole.registers).all()
 
+    def test_copy_is_independent(self):
+        a, b = HyperLogLogSketch(8, 7), HyperLogLogSketch(8, 7)
+        a.update_batch(np.arange(0, 300, dtype=np.int32))
+        b.update_batch(np.arange(1000, 1300, dtype=np.int32))
+        a.merge(b)  # estimate cached lazily
+        before = a.registers.copy()
+        c = a.copy()
+        c.update_batch(np.arange(5000, 10000, dtype=np.int32))
+        c.merge(b)
+        c.registers[:] = 0
+        assert (a.registers == before).all()
+        assert c.registers is not a.registers
+        assert a.distinct_item_count == HyperLogLogSketch.from_bytes(
+            a.to_bytes()
+        ).distinct_items_estimator()
+
+    def test_window_close_estimates_once_per_emitted_row(self, tmp_path, monkeypatch):
+        """A 5 s / 2.5 s sliding close over two partitions' slice partials
+        merges every slice and window, but resolves the merge-cached
+        estimate at most once per emitted payload."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from condor_ray.engine.streaming import _merge_and_emit
+
+        rng = np.random.default_rng(3)  # leaves the module RNG's stream alone
+        slice_us, n_slices = 2_500_000, 10
+        tables = []
+        for _ in range(2):  # two partitions' partials of slices 0-9
+            payloads = []
+            for sid in range(n_slices):
+                h = HyperLogLogSketch(10, 7)
+                h.update_batch(rng.integers(0, 2**31 - 1, 200).astype(np.int32))
+                payloads.append(h.to_bytes())
+            tables.append(pa.table({
+                "slice_id": pa.array(range(n_slices), type=pa.int64()),
+                "stratum": pa.array([""] * n_slices, type=pa.string()),
+                "payload": pa.array(payloads, type=pa.binary()),
+                "n_rows": pa.array([200] * n_slices, type=pa.int64()),
+            }))
+        emit_spec = [
+            {"kind": "sliding", "start": w * slice_us, "size": 2 * slice_us,
+             "slices": [w, w + 1]}
+            for w in range(n_slices - 1)
+        ]
+        calls = []
+        estimate = HyperLogLogSketch.distinct_items_estimator
+
+        def counting(self):
+            calls.append(1)
+            return estimate(self)
+
+        monkeypatch.setattr(HyperLogLogSketch, "distinct_items_estimator", counting)
+        path = str(tmp_path / "emit.parquet")
+        n = _merge_and_emit._function(path, emit_spec, "HyperLogLogSketch", *tables)
+        assert n == n_slices - 1 == pq.read_metadata(path).num_rows
+        assert len(calls) <= n
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             HyperLogLogSketch(3, 7)
