@@ -59,7 +59,7 @@ from ..state.store import PartitionStateStore
 from ..synopses.base import Synopsis
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
 from .batch import _common_slice_us, _window_kind
-from .checkpoint import latest_checkpoint, truncate_manifest
+from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
 
 _NEG_INF = -(2**62)
 
@@ -127,8 +127,13 @@ def _partition_fragment(
     hot_key_threshold: int | None,
     columns: list[str] | None,
     key_spec=None,
+    shard_columns: list[str] | None = None,
 ):
     """Split one fragment into P shards by conv hash; drop+count late rows.
+
+    ``shard_columns`` projects the shards onto the columns their store reads
+    (None: every column read).  The routing column is used here and need
+    not ship.
 
     Returns (meta_dict, shard_0, ..., shard_{P-1}) — shards are separate
     return values so Ray ships each one only to its partition's actor."""
@@ -173,6 +178,8 @@ def _partition_fragment(
         table = table.append_column(
             "__key32", pa.array(np.ascontiguousarray(key_col))
         )
+    if shard_columns is not None:
+        table = table.select(shard_columns)
     # one stable sort + zero-copy slices instead of P masked filters
     # (P filters cost O(P*n) per fragment — anti-scaling as P grows)
     order = stable_partition_order(part, parallelism)
@@ -403,6 +410,11 @@ class StreamingSynopsisJob:
         if config.stratify_by:
             need.add(config.stratify_by)
         self.columns = sorted(need if columns is None else set(columns) | need)
+        # what the stores read once the split has computed __key32; sampled
+        # elements are keyed in the store, so those shards keep every column
+        self.shard_columns = None if config.sample_elements else sorted(
+            {"ts", "__key32", config.stratify_by} - {None}
+        )
         self.close_every = max(1, close_every)
         os.makedirs(out_dir, exist_ok=True)
         if checkpoint_dir:
@@ -418,6 +430,9 @@ class StreamingSynopsisJob:
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
         self.total_late = 0
         self.total_rows = 0
+        # a final flush emits the still-open windows partial, so it ends the
+        # stream: a later run() would re-emit them (and reuse emit-f{N})
+        self.flushed = False
 
     # -- checkpointing -----------------------------------------------------
     def _checkpoint(self) -> None:
@@ -446,6 +461,7 @@ class StreamingSynopsisJob:
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
+        prune_checkpoints(self.checkpoint_dir)
 
     def resume(self) -> bool:
         """Restore the newest checkpoint; returns True if one was found."""
@@ -479,9 +495,8 @@ class StreamingSynopsisJob:
         nothing closed) — close cycles from successive fragments overlap, so
         the conquer step parallelizes instead of serializing the driver loop.
         Idempotent per fragment index.  ``wm`` overrides the close horizon
-        for the end-of-input flush WITHOUT mutating ``self.watermark`` — a
-        continuation run() after a final flush must keep the true max-seen
-        watermark or its late filter silently drops in-order rows."""
+        for the end-of-input flush WITHOUT mutating ``self.watermark``, which
+        stays the true max-seen timestamp."""
         if wm is None:
             wm = self.watermark
         to_emit: list[tuple[int, int]] = []  # (window_def_idx, window_id)
@@ -550,7 +565,9 @@ class StreamingSynopsisJob:
     ) -> dict:
         """Process fragments from the restored/initial cursor.  With
         ``final_flush=False`` the bounded-stream end-of-input flush (watermark
-        -> +inf) is skipped — used to simulate a crash mid-stream.
+        -> +inf) is skipped — used to simulate a crash mid-stream, and by
+        callers that continue the stream with a later run().  A final flush
+        ends the stream: any later run() raises ``RuntimeError``.
 
         ``pipelined`` (default: True unless checkpointing): precompute every
         fragment's watermark from a parallel metadata pass, then run ALL
@@ -562,12 +579,18 @@ class StreamingSynopsisJob:
         to the sequential mode.  Incompatible with checkpointing (an actor
         snapshot taken at fragment k could already contain later fragments),
         so checkpoint_dir forces the sequential path."""
+        if self.flushed:
+            raise RuntimeError(
+                "StreamingSynopsisJob.run() after a final flush: the flush "
+                "already emitted the open windows; start a new job instead"
+            )
         if resume:
             self.resume()
         if pipelined is None:
             pipelined = self.checkpoint_dir is None
         if self.checkpoint_dir is not None:
             pipelined = False
+        self.flushed = final_flush
         if pipelined:
             return self._run_pipelined(fragment_paths, final_flush)
         manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
@@ -582,6 +605,7 @@ class StreamingSynopsisJob:
                 self.config.hot_key_threshold,
                 self.columns,
                 None if self.config.sample_elements else self.config.key,
+                self.shard_columns,
             )
             meta_ref, shard_refs = refs[0], refs[1:]
             ingest_futs = [
@@ -622,9 +646,8 @@ class StreamingSynopsisJob:
         if final_flush and self.watermark > _NEG_INF:
             # end of stream: close with a horizon just past the last window
             # containing data (a literal +inf would make the close loop
-            # enumerate windows forever).  Local override only — mutating
-            # self.watermark here would make a continuation run() late-drop
-            # every row within max_span behind the true watermark.
+            # enumerate windows forever).  Local override only:
+            # self.watermark stays the true max-seen timestamp.
             max_span = max(w.size_us for w in self.windows)
             ref = self._close_windows(
                 len(fragment_paths),
@@ -713,6 +736,7 @@ class StreamingSynopsisJob:
                 self.config.hot_key_threshold,
                 self.columns,
                 None if self.config.sample_elements else self.config.key,
+                self.shard_columns,
             )
             metas[i] = refs[0]
             ingests[i] = [
@@ -755,8 +779,7 @@ class StreamingSynopsisJob:
                 )
             self.next_fragment = k + 1
         if final_flush and self.watermark > _NEG_INF:
-            # local flush horizon only (see _close_windows): self.watermark
-            # must stay the true max-seen ts for any continuation run()
+            # local flush horizon only (see _close_windows)
             max_span = max(w.size_us for w in self.windows)
             ref = self._close_windows(
                 len(fragment_paths),

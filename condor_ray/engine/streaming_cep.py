@@ -31,7 +31,7 @@ import ray
 
 from ..pipelines.cep import Step, find_match_starts, find_relaxed_matches
 from ..stages.extract import stable_partition_order, ts_to_us
-from .checkpoint import latest_checkpoint, truncate_manifest
+from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
 from .emit import atomic_emit
 from .streaming import _NEG_INF, conv_partition_ids
 
@@ -501,6 +501,7 @@ class StreamingPatternJob:
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
+        prune_checkpoints(self.checkpoint_dir)
 
     def resume(self) -> bool:
         if not self.checkpoint_dir:

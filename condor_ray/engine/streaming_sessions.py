@@ -45,7 +45,7 @@ from ..stages.extract import KeyExtractor, stable_partition_order, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.registry import make_synopsis
 from ..windows import SessionWindow
-from .checkpoint import latest_checkpoint, truncate_manifest
+from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
 from .emit import atomic_emit
 from .streaming import _NEG_INF, conv_partition_ids
 
@@ -370,6 +370,7 @@ class StreamingSessionJob:
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
+        prune_checkpoints(self.checkpoint_dir)
 
     def resume(self) -> bool:
         if not self.checkpoint_dir:

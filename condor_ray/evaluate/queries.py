@@ -367,12 +367,3 @@ def query_timestamped_stratified(
 def query_count_min(synopsis, keys: np.ndarray) -> np.ndarray:
     """QueryCountMin.java:6-12 — point frequency estimates."""
     return synopsis.query_batch(np.asarray(keys, dtype=np.int64).astype(np.int32))
-
-
-def query_bloom(synopsis, keys: np.ndarray) -> np.ndarray:
-    return synopsis.query_batch(np.asarray(keys, dtype=np.int64).astype(np.int32))
-
-
-def query_hll_distinct(synopsis, keys: np.ndarray) -> np.ndarray:
-    """Distinct estimate, broadcast to the batch shape."""
-    return np.full(len(keys), synopsis.distinct_items_estimator(), dtype=np.int64)

@@ -55,12 +55,17 @@ class Synopsis:
     # instance precomputes for every slice of a config.
     def precompute_batch(self, values: np.ndarray):
         """Batch-level update data shared by all slices, or None (no fast
-        path — caller falls back to per-group ``update_batch``)."""
+        path — caller falls back to per-group ``update_batch``).
+
+        The data may be per row or per distinct key (with a row -> key
+        index), whatever makes ``apply_precomputed`` cheapest."""
         return None
 
     def apply_precomputed(self, pre, idx: np.ndarray) -> None:
-        """Apply rows ``idx`` of a ``precompute_batch`` result to this
-        synopsis; must equal ``update_batch(values[idx])``."""
+        """Apply rows ``idx`` of the batch to this synopsis.  Contract: the
+        resulting ``to_bytes()`` equals, byte for byte, that of the same
+        synopsis after ``update_batch(values[idx])``, for any ``idx``
+        (empty, repeated applies) and in either physical representation."""
         raise NotImplementedError
 
     # -- merge ------------------------------------------------------------

@@ -36,6 +36,12 @@ class CountMinSketch(Synopsis):
     and merge instead of 1.3 MB — this is what keeps per-window overhead
     proportional to DATA, not sketch capacity, at fine window granularity.
     Logical semantics (and the ``array`` view) are unchanged.
+
+    Grouped ingest counts before it hashes: the counters are a linear
+    function of the key-frequency vector, so ``precompute_batch`` hashes each
+    distinct key of a batch once and ``apply_precomputed`` adds one weighted
+    count per distinct key of a slice (``update_weighted`` shares the
+    scatter).  The result is byte-identical to ``update_batch`` of the rows.
     """
 
     mergeable = True
@@ -81,7 +87,8 @@ class CountMinSketch(Synopsis):
         cat_val = np.concatenate([self._sp_val, val.astype(np.int32)])
         if len(cat_idx) == 0:  # both sides empty (e.g. zero-row partials)
             return
-        order = np.argsort(cat_idx, kind="stable")
+        # int32 sums wrap the same in any order: no need for a stable sort
+        order = np.argsort(cat_idx)
         ci, cv = cat_idx[order], cat_val[order]
         bounds = np.concatenate([[True], ci[1:] != ci[:-1]])
         uniq = ci[bounds]
@@ -147,6 +154,22 @@ class CountMinSketch(Synopsis):
         self._apply(values, 1)
         self.elements_processed += len(values)
 
+    def _scatter_weighted(self, flat: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts[k]`` to key k's cells ``flat[k*height:(k+1)*height]``;
+        cells named more than once receive every addition."""
+        w = np.repeat(counts.astype(np.int64), self.height)
+        if self._dense is None:
+            self._sparse_accumulate(flat, w)
+            return
+        d = self._dense.ravel()
+        with np.errstate(over="ignore"):
+            if len(counts) * 8 < self.width:
+                np.add.at(d, flat, w.astype(np.int32))
+            else:
+                d += np.bincount(
+                    flat, weights=w, minlength=self.height * self.width
+                ).astype(np.int64).astype(np.int32)
+
     def update_weighted(self, values: np.ndarray, counts: np.ndarray) -> None:
         """Grouped ingest: ``update_batch(np.repeat(values, counts))`` at
         O(distinct keys) hashing cost — one H3 hash per distinct key, then
@@ -154,42 +177,25 @@ class CountMinSketch(Synopsis):
         CountMinSketch.java:57-71)."""
         if len(values) == 0:
             return
-        flat = self._flat_indices(values)
-        w = np.repeat(counts.astype(np.int64), self.height)
-        with np.errstate(over="ignore"):
-            if self._dense is not None:
-                d = self._dense.ravel()
-                d += np.bincount(
-                    flat, weights=w, minlength=self.height * self.width
-                ).astype(np.int32)
-            else:
-                uniq, inverse = np.unique(flat, return_inverse=True)
-                sums = np.bincount(inverse, weights=w).astype(np.int64)
-                self._sparse_accumulate(uniq, sums)
+        self._scatter_weighted(self._flat_indices(values), counts)
         self.elements_processed += int(counts.sum())
 
     def decrement_batch(self, values: np.ndarray) -> None:
         self._apply(values, -1)
         self.elements_processed -= len(values)
 
-    # -- grouped-ingest fast path (hash once per batch, scatter per slice) --
+    # -- grouped-ingest fast path (hash once per distinct key, count per slice)
+    # ``pre`` is (U x height flat indices of the U distinct keys, per-row key
+    # index); a slice costs O(its rows + U), not a sort of rows*height cells.
     def precompute_batch(self, values: np.ndarray):
-        return self._flat_indices(values).reshape(len(values), self.height)
+        uniq, inv = np.unique(values, return_inverse=True)
+        return self._flat_indices(uniq).reshape(len(uniq), self.height), inv
 
-    def apply_precomputed(self, pre: np.ndarray, idx: np.ndarray) -> None:
-        flat = pre[idx].ravel()
-        with np.errstate(over="ignore"):
-            if self._dense is not None:
-                d = self._dense.ravel()
-                if len(idx) * 8 < self.width:
-                    np.add.at(d, flat, 1)
-                else:
-                    d += np.bincount(
-                        flat, minlength=self.height * self.width
-                    ).astype(np.int32)
-            else:
-                uniq, counts = np.unique(flat, return_counts=True)
-                self._sparse_accumulate(uniq, counts)
+    def apply_precomputed(self, pre, idx: np.ndarray) -> None:
+        flat_u, inv = pre
+        counts = np.bincount(inv[idx], minlength=len(flat_u))
+        keys = np.flatnonzero(counts)
+        self._scatter_weighted(flat_u[keys].ravel(), counts[keys])
         self.elements_processed += len(idx)
 
     # -- queries -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checkpoint hygiene of the three resumable streaming jobs: the newest
-checkpoint is picked by its fragment cursor, and a crash/resume records each
-fragment once in the manifest and rewrites identical emit files."""
+checkpoint is picked by its fragment cursor, only the two newest are kept,
+and a crash/resume records each fragment once in the manifest and rewrites
+identical emit files."""
 
 import json
 import os
@@ -8,7 +9,11 @@ import os
 import pytest
 
 from condor_ray.config import BuildConfiguration, KeySpec
-from condor_ray.engine.checkpoint import latest_checkpoint, truncate_manifest
+from condor_ray.engine.checkpoint import (
+    latest_checkpoint,
+    prune_checkpoints,
+    truncate_manifest,
+)
 from condor_ray.pipelines.cep import Step
 from condor_ray.sources.transcripts import generate_stream_fixture, transcript_fragments
 from condor_ray.windows import SessionWindow, SlidingWindow
@@ -19,6 +24,18 @@ def test_latest_checkpoint_by_parsed_cursor(tmp_path):
     for name in ("ckpt-00004", "ckpt-99999", "ckpt-100000", ".tmp-ckpt-200000"):
         os.makedirs(tmp_path / name)
     assert latest_checkpoint(str(tmp_path)) == str(tmp_path / "ckpt-100000")
+
+
+def test_prune_keeps_two_newest_by_parsed_cursor(tmp_path):
+    for name in ("ckpt-00004", "ckpt-99998", "ckpt-99999", "ckpt-100000",
+                 ".tmp-ckpt-200000", "other"):
+        os.makedirs(tmp_path / name)
+    prune_checkpoints(str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == [
+        ".tmp-ckpt-200000", "ckpt-100000", "ckpt-99999", "other"
+    ]
+    prune_checkpoints(str(tmp_path))  # nothing more to prune
+    assert len(os.listdir(tmp_path)) == 4
 
 
 def test_truncate_manifest_keeps_fragments_below_cursor(tmp_path):
@@ -32,7 +49,7 @@ def test_truncate_manifest_keeps_fragments_below_cursor(tmp_path):
     truncate_manifest(str(tmp_path / "missing"), 4)  # no manifest: no-op
 
 
-def _synopsis_job(out, ckpt):
+def _synopsis_job(out, ckpt, every=4):
     from condor_ray.engine.streaming import StreamingSynopsisJob
 
     cfg = BuildConfiguration(
@@ -42,10 +59,10 @@ def _synopsis_job(out, ckpt):
         key=KeySpec("conv_id", "java_hash"),
         parallelism=2,
     )
-    return StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=4)
+    return StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=every)
 
 
-def _session_job(out, ckpt):
+def _session_job(out, ckpt, every=4):
     from condor_ray.engine.streaming_sessions import StreamingSessionJob
 
     cfg = BuildConfiguration(
@@ -55,16 +72,16 @@ def _session_job(out, ckpt):
         key=KeySpec("text", "java_hash"),
         parallelism=2,
     )
-    return StreamingSessionJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=4)
+    return StreamingSessionJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=every)
 
 
-def _pattern_job(out, ckpt):
+def _pattern_job(out, ckpt, every=4):
     from condor_ray.engine.streaming_cep import StreamingPatternJob
 
     steps = [Step("role", "eq", "user"), Step("role", "eq", "assistant")]
     return StreamingPatternJob(
         steps, out, within_ms=30_000, parallelism=2,
-        checkpoint_dir=ckpt, checkpoint_every=4,
+        checkpoint_dir=ckpt, checkpoint_every=every,
     )
 
 
@@ -101,3 +118,21 @@ def test_crash_resume_manifest_exactly_once(ray_session, tmp_path, make_job):
     assert [l["fragment"] for l in lines if "fragment" in l] == list(range(8))
     ref_files = _emit_files(ref_out)
     assert ref_files and _emit_files(out) == ref_files
+
+
+@pytest.mark.parametrize("make_job", [_synopsis_job, _session_job, _pattern_job])
+def test_checkpoints_pruned_to_two_newest(ray_session, tmp_path, make_job):
+    frags = transcript_fragments(
+        generate_stream_fixture(n_rows=4000, n_convs=100, seed=7, n_fragments=12)
+    )
+    assert len(frags) == 12
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    job = make_job(out, ckpt, every=2)
+    job.run(frags, final_flush=False)
+    job.shutdown()
+    assert sorted(os.listdir(ckpt)) == ["ckpt-00010", "ckpt-00012"]
+    job = make_job(out, ckpt, every=2)
+    try:
+        assert job.resume() and job.next_fragment == 12
+    finally:
+        job.shutdown()

@@ -297,3 +297,44 @@ def test_hll_lazy_estimate_matches_eager_oracle(log_reg_num, ops):
     for a, b in zip(new, ref):
         assert a.distinct_item_count == b.count
         assert a.to_bytes() == b.to_bytes()
+
+
+_CM_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["apply", "merge", "serde", "densify"]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(st.integers(-(2**31), 2**31 - 1), max_size=40),
+        st.integers(1, 30),  # key multiplicity: grouped ingest pays per key
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(16, 2), (64, 3), (4096, 5)]), _CM_OPS)
+def test_count_min_grouped_apply_matches_eager(shape, ops):
+    """Random interleavings of grouped apply_precomputed / merge / serde /
+    densify leave the same bytes as the eager update_batch path."""
+    from condor_ray.synopses import Synopsis
+
+    width, height = shape
+    new = [CountMinSketch(width, height, 7) for _ in range(3)]
+    ref = [CountMinSketch(width, height, 7) for _ in range(3)]
+    for op, i, j, keys, mult in ops:
+        if op == "apply":
+            values = np.repeat(np.asarray(keys, dtype=np.int32), mult)
+            pre = new[j].precompute_batch(values)
+            idx = np.arange(0, len(values), 2)
+            new[i].apply_precomputed(pre, idx)
+            ref[i].update_batch(values[idx])
+        elif op == "merge":
+            new[i].merge(new[j])
+            ref[i].merge(ref[j])
+        elif op == "serde":
+            new[i] = Synopsis.from_bytes(new[i].to_bytes())
+        else:
+            _ = new[i].array, ref[i].array
+        for a, b in zip(new, ref):
+            assert a.to_bytes() == b.to_bytes()

@@ -87,6 +87,52 @@ class TestStreamingSemantics:
         assert result.duplicated(["window_kind", "window_start", "stratum"]).sum() == 0
 
 
+class TestStratifiedStream:
+    def test_matches_batch_builder(self, ray_session, tiny_fixture, tmp_path):
+        """Stratified shards carry only ts/__key32/role; the streamed
+        windows still equal the batch builder's over the rows the stream
+        keeps (late rows dropped by the same rule)."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from condor_ray.engine.batch import build_windowed_synopses
+
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch",
+            params=(512, 3, 7),
+            windows=[TumblingWindow(W_MS)],
+            key=KeySpec("conv_id", "java_hash"),
+            stratify_by="role",
+            parallelism=2,
+        )
+        job = StreamingSynopsisJob(cfg, str(tmp_path / "stream"))
+        job.run(frags)
+        got = job.result_dataset().to_pandas()
+        job.shutdown()
+
+        kept, wm = [], -(2**62)
+        for f in frags:
+            t = pq.read_table(f)
+            ts = t["ts"].cast("int64").to_numpy()
+            kept.append(t.filter(pa.array((ts // W_US + 1) * W_US > wm)))
+            wm = max(wm, int(ts.max()))
+        want = build_windowed_synopses(
+            rd.from_arrow(pa.concat_tables(kept)), cfg, concurrency=2
+        ).to_pandas()
+
+        key = ["window_start", "stratum"]
+        got = got.sort_values(key).reset_index(drop=True)
+        want = want.sort_values(key).reset_index(drop=True)
+        assert len(got) > 0 and set(got["stratum"]) == {"user", "assistant", "tool"}
+        assert got[key].values.tolist() == want[key].values.tolist()
+        assert got["n_rows"].tolist() == want["n_rows"].tolist()
+        for a, b in zip(got["payload"], want["payload"]):
+            sa, sb = Synopsis.from_bytes(a), Synopsis.from_bytes(b)
+            assert sa.partition_value == sb.partition_value
+            assert (sa.array == sb.array).all()
+
+
 class TestPartitionInvariance:
     def test_parallelism_does_not_change_output(self, ray_session, tiny_fixture, tmp_path):
         frags = transcript_fragments(tiny_fixture)
@@ -292,6 +338,43 @@ class TestPartitionFragmentEdgeCases:
         )
         assert sum(s.num_rows for s in shards2) == 5
 
+    @pytest.mark.parametrize(
+        "stratify_by, sample_elements, expected",
+        [
+            (None, False, {"ts", "__key32"}),
+            ("role", False, {"ts", "__key32", "role"}),
+            # samplers key their elements in the store: shards keep the read
+            (None, True, {"conv_id", "ts", "turn_idx"}),
+        ],
+    )
+    def test_shards_carry_only_store_columns(
+        self, ray_session, tiny_fixture, tmp_path, stratify_by, sample_elements,
+        expected,
+    ):
+        """The routing column is used by the split; shards ship only what
+        the store reads once the split has computed __key32."""
+        from condor_ray.engine.streaming import _partition_fragment
+
+        cfg = BuildConfiguration(
+            synopsis="ReservoirSampler" if sample_elements else "CountMinSketch",
+            params=(50, 7) if sample_elements else (128, 3, 7),
+            windows=[TumblingWindow(W_MS)],
+            key=KeySpec("conv_id", "java_hash"),
+            stratify_by=stratify_by,
+            sample_elements=sample_elements,
+            parallelism=2,
+        )
+        job = StreamingSynopsisJob(cfg, str(tmp_path))
+        job.shutdown()
+        path = transcript_fragments(tiny_fixture)[0]
+        meta, *shards = _partition_fragment(
+            path, 2, W_US, -(2**62), None, job.columns,
+            None if sample_elements else cfg.key, job.shard_columns,
+        )
+        assert sum(s.num_rows for s in shards) == meta["n_rows"]
+        for shard in shards:
+            assert set(shard.column_names) == expected
+
     def test_close_every_respected_in_sequential_mode(
         self, ray_session, tiny_fixture, tmp_path
     ):
@@ -321,10 +404,10 @@ class TestPartitionFragmentEdgeCases:
 
 
 class TestFlushKeepsWatermark:
-    """The end-of-input flush must close with a LOCAL horizon, not by
-    mutating job.watermark: a continuation run() after final_flush=True
-    (the documented resume-with-more-fragments pattern) otherwise
-    late-drops every row within max_span behind the true watermark."""
+    """The end-of-input flush closes with a LOCAL horizon, not by mutating
+    job.watermark, which keeps the true max-seen timestamp.  For the
+    synopsis job the flush is terminal: it has emitted the open windows
+    partial, so a continuation run() raises instead of re-emitting them."""
 
     @staticmethod
     def _true_max_ts_us(frags):
@@ -346,6 +429,44 @@ class TestFlushKeepsWatermark:
         job.run(frags, final_flush=True)
         try:
             assert job.watermark == self._true_max_ts_us(frags)
+            with pytest.raises(RuntimeError, match="final flush"):
+                job.run(frags + transcript_fragments(tiny_fixture)[3:4])
+        finally:
+            job.shutdown()
+
+    def test_continuation_after_flush_raises(self, ray_session, tmp_path):
+        """Regression: flushing after 4 of 8 fragments (5 s tumbling CM) and
+        continuing used to emit window partials and reuse the flush's
+        emit-f00004 name for fragment 4's close.  The continuation now
+        raises and leaves the flushed output as it was."""
+        from condor_ray.sources.transcripts import generate_stream_fixture
+
+        frags = transcript_fragments(
+            generate_stream_fixture(n_rows=20000, n_convs=500, seed=42, n_fragments=8)
+        )
+        assert len(frags) == 8
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch",
+            params=(256, 3, 7),
+            windows=[TumblingWindow(5_000)],
+            key=KeySpec("conv_id", "java_hash"),
+            parallelism=2,
+        )
+        out = tmp_path / "flushed"
+        job = StreamingSynopsisJob(cfg, str(out))
+
+        def snapshot():
+            return {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+
+        try:
+            job.run(frags[:4], final_flush=True, pipelined=False)
+            before = snapshot()
+            assert "emit-f00004.parquet" in before  # the flush's file
+            for pipelined in (False, True):
+                with pytest.raises(RuntimeError, match="final flush"):
+                    job.run(frags, pipelined=pipelined)
+            assert snapshot() == before
+            assert job.next_fragment == 4
         finally:
             job.shutdown()
 

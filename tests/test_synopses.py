@@ -892,6 +892,70 @@ class TestGroupedIngestFastPath:
         ) is None
 
 
+class TestCountMinGroupedIngest:
+    """Count-Min grouped ingest counts distinct keys before it hashes; every
+    apply must leave the same bytes as ``update_batch`` of the same rows."""
+
+    rng = np.random.default_rng(11)  # leaves the module RNG's stream alone
+
+    @staticmethod
+    def _check(width, height, values, idx_list, dense=False):
+        from condor_ray.synopses import CountMinSketch
+
+        pre = CountMinSketch(width, height, 7).precompute_batch(values)
+        a, b = CountMinSketch(width, height, 7), CountMinSketch(width, height, 7)
+        if dense:
+            _ = a.array, b.array  # start dense
+        for idx in idx_list:
+            a.apply_precomputed(pre, idx)
+            b.update_batch(values[idx])
+            assert a.to_bytes() == b.to_bytes()
+        return a
+
+    def test_heavy_duplicates(self):
+        values = self.rng.choice(
+            np.array([3, -7, 12345, 2**31 - 1], dtype=np.int32), 5000
+        )
+        a = self._check(65536, 5, values, [np.arange(5000)])
+        assert a._dense is None and len(a._sp_idx) <= 4 * 5
+
+    def test_negative_int32_keys(self):
+        edge = np.array([-(2**31), -1, 0, 1, 2**31 - 1], dtype=np.int32)
+        values = np.concatenate(
+            [edge, self.rng.integers(-(2**31), 0, 2000).astype(np.int32)]
+        )
+        self.rng.shuffle(values)
+        self._check(1024, 5, values, [np.arange(len(values))])
+
+    def test_empty_idx_and_repeated_applies(self):
+        values = self.rng.integers(-500, 500, 3000).astype(np.int32)
+        groups = self.rng.integers(0, 4, 3000)
+        idx_list = [np.empty(0, dtype=np.int64)] + [
+            np.flatnonzero(groups == g) for g in range(4)
+        ] + [np.empty(0, dtype=np.int64), np.arange(0, 3000, 7)]
+        a = self._check(65536, 3, values, idx_list)
+        assert a.elements_processed == 3000 + len(np.arange(0, 3000, 7))
+
+    def test_empty_batch(self):
+        self._check(1024, 3, np.empty(0, dtype=np.int32),
+                    [np.empty(0, dtype=np.int64)])
+
+    def test_sparse_to_dense_crossing(self):
+        values = self.rng.integers(-(2**31), 2**31 - 1, 4000).astype(np.int32)
+        idx_list = [np.arange(k, k + 100) for k in range(0, 4000, 100)]
+        a = self._check(64, 3, values, idx_list)
+        assert a._dense is not None  # crossed the ~1/3 fill threshold
+
+    def test_dense_small_and_large_updates(self):
+        values = self.rng.integers(0, 50_000, 20_000).astype(np.int32)
+        values[:40] = np.repeat(values[:10], 4)  # repeated keys in each head
+        # few keys against a wide sketch: the np.add.at branch; then the
+        # bincount branch
+        self._check(65536, 5, values, [np.arange(40), np.arange(20_000)],
+                    dense=True)
+        self._check(256, 5, values, [np.arange(8), np.arange(5000)], dense=True)
+
+
 class TestCountMinWeighted:
     def test_update_weighted_equals_repeated_updates(self):
         rng = np.random.default_rng(3)
