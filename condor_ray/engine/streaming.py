@@ -431,7 +431,9 @@ class StreamingSynopsisJob:
         self.total_late = 0
         self.total_rows = 0
         # a final flush emits the still-open windows partial, so it ends the
-        # stream: a later run() would re-emit them (and reuse emit-f{N})
+        # stream: a later run() would re-emit them (and reuse emit-f{N}).
+        # Set once the flush's close is dispatched, so a run that raised
+        # before it, or saw no rows, does not lock the job.
         self.flushed = False
 
     # -- checkpointing -----------------------------------------------------
@@ -590,7 +592,6 @@ class StreamingSynopsisJob:
             pipelined = self.checkpoint_dir is None
         if self.checkpoint_dir is not None:
             pipelined = False
-        self.flushed = final_flush
         if pipelined:
             return self._run_pipelined(fragment_paths, final_flush)
         manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
@@ -653,6 +654,7 @@ class StreamingSynopsisJob:
                 len(fragment_paths),
                 wm=self.watermark + max_span + self.slice_us,
             )
+            self.flushed = True
             if ref is not None:
                 ray.get(ref)
         if final_flush:
@@ -785,6 +787,7 @@ class StreamingSynopsisJob:
                 len(fragment_paths),
                 wm=self.watermark + max_span + self.slice_us,
             )
+            self.flushed = True
             if ref is not None:
                 emit_refs.append(ref)
         n_windows = sum(ray.get(emit_refs)) if emit_refs else 0

@@ -41,7 +41,9 @@ class CountMinSketch(Synopsis):
     function of the key-frequency vector, so ``precompute_batch`` hashes each
     distinct key of a batch once and ``apply_precomputed`` adds one weighted
     count per distinct key of a slice (``update_weighted`` shares the
-    scatter).  The result is byte-identical to ``update_batch`` of the rows.
+    scatter).  Batches whose keys are mostly distinct, and slices too small
+    to repeat a key often, add their rows' cells instead.  The result is
+    byte-identical to ``update_batch`` of the rows.
     """
 
     mergeable = True
@@ -82,13 +84,15 @@ class CountMinSketch(Synopsis):
         self._sp_idx = self._sp_val = None
 
     def _sparse_accumulate(self, idx: np.ndarray, val: np.ndarray) -> None:
-        """Merge (idx, val) pairs into the sparse store; densify when full."""
+        """Merge (idx, val) pairs, ``idx`` sorted, into the sparse store;
+        densify when full."""
         cat_idx = np.concatenate([self._sp_idx, idx])
         cat_val = np.concatenate([self._sp_val, val.astype(np.int32)])
         if len(cat_idx) == 0:  # both sides empty (e.g. zero-row partials)
             return
-        # int32 sums wrap the same in any order: no need for a stable sort
-        order = np.argsort(cat_idx)
+        # ``idx`` arrives sorted, so a stable sort (timsort) is a linear
+        # merge of two runs instead of a full sort of the whole store
+        order = np.argsort(cat_idx, kind="stable")
         ci, cv = cat_idx[order], cat_val[order]
         bounds = np.concatenate([[True], ci[1:] != ci[:-1]])
         uniq = ci[bounds]
@@ -133,11 +137,14 @@ class CountMinSketch(Synopsis):
                     self._dense.ctypes.data, sign,
                 )
                 return
-        flat = self._flat_indices(values)
+        self._add_cells(self._flat_indices(values), sign)
+
+    def _add_cells(self, flat: np.ndarray, sign: int) -> None:
+        """Add ``sign`` once per entry of ``flat`` (``height`` cells a row)."""
         with np.errstate(over="ignore"):
             if self._dense is not None:
                 d = self._dense.ravel()
-                if len(values) * 8 < self.width:
+                if len(flat) * 8 < self.width * self.height:
                     if sign > 0:
                         np.add.at(d, flat, 1)
                     else:
@@ -147,8 +154,10 @@ class CountMinSketch(Synopsis):
                         flat, minlength=self.height * self.width
                     )).astype(np.int32)
             else:
-                uniq, counts = np.unique(flat, return_counts=True)
-                self._sparse_accumulate(uniq, sign * counts)
+                # the merge sums repeated cells; a plain sort is all it needs
+                self._sparse_accumulate(
+                    np.sort(flat), np.full(len(flat), sign, dtype=np.int32)
+                )
 
     def update_batch(self, values: np.ndarray, timestamps=None) -> None:
         self._apply(values, 1)
@@ -159,7 +168,8 @@ class CountMinSketch(Synopsis):
         cells named more than once receive every addition."""
         w = np.repeat(counts.astype(np.int64), self.height)
         if self._dense is None:
-            self._sparse_accumulate(flat, w)
+            order = np.argsort(flat)
+            self._sparse_accumulate(flat[order], w[order])
             return
         d = self._dense.ravel()
         with np.errstate(over="ignore"):
@@ -186,16 +196,28 @@ class CountMinSketch(Synopsis):
 
     # -- grouped-ingest fast path (hash once per distinct key, count per slice)
     # ``pre`` is (U x height flat indices of the U distinct keys, per-row key
-    # index); a slice costs O(its rows + U), not a sort of rows*height cells.
+    # index).  A slice with at least U/4 rows counts its keys first, in
+    # O(its rows + U).  A smaller slice rarely repeats a key, so it adds its
+    # rows' cells as they are, and so does every slice of a batch whose keys
+    # are mostly distinct (``pre`` is then per row, with no key index).
+    # Either way a slice's cost follows its own rows.
     def precompute_batch(self, values: np.ndarray):
+        s = np.sort(values)
+        if np.count_nonzero(s[1:] != s[:-1]) * 2 >= len(values):
+            return self._flat_indices(values).reshape(-1, self.height), None
         uniq, inv = np.unique(values, return_inverse=True)
-        return self._flat_indices(uniq).reshape(len(uniq), self.height), inv
+        return self._flat_indices(uniq).reshape(-1, self.height), inv
 
     def apply_precomputed(self, pre, idx: np.ndarray) -> None:
-        flat_u, inv = pre
-        counts = np.bincount(inv[idx], minlength=len(flat_u))
-        keys = np.flatnonzero(counts)
-        self._scatter_weighted(flat_u[keys].ravel(), counts[keys])
+        flat, inv = pre
+        if inv is None:
+            self._add_cells(flat[idx].ravel(), 1)
+        elif len(idx) * 4 < len(flat):
+            self._add_cells(flat[inv[idx]].ravel(), 1)
+        else:
+            counts = np.bincount(inv[idx], minlength=len(flat))
+            keys = np.flatnonzero(counts)
+            self._scatter_weighted(flat[keys].ravel(), counts[keys])
         self.elements_processed += len(idx)
 
     # -- queries -----------------------------------------------------------

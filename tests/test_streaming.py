@@ -470,6 +470,33 @@ class TestFlushKeepsWatermark:
         finally:
             job.shutdown()
 
+    def test_unflushed_run_does_not_lock(self, ray_session, tiny_fixture, tmp_path):
+        """Only a dispatched flush ends the job: a final_flush run over no
+        rows, or one that raised before its flush, leaves it open."""
+        frags = transcript_fragments(tiny_fixture)[:2]
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch",
+            params=(128, 3, 7),
+            windows=[TumblingWindow(W_MS)],
+            key=KeySpec("conv_id", "java_hash"),
+            parallelism=2,
+        )
+        job = StreamingSynopsisJob(cfg, str(tmp_path / "open"))
+        try:
+            job.run([], final_flush=True)
+            assert not job.flushed
+            with pytest.raises(Exception):
+                job.run(
+                    [str(tmp_path / "missing.parquet")],
+                    final_flush=True,
+                    pipelined=False,
+                )
+            assert not job.flushed
+            job.run(frags, final_flush=True)
+            assert job.flushed
+        finally:
+            job.shutdown()
+
     def test_wavelet_job(self, ray_session, tiny_fixture, tmp_path):
         from condor_ray.engine.streaming_wavelets import StreamingWaveletJob
 

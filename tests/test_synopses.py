@@ -92,6 +92,16 @@ class TestCountMin:
         assert (cm.array == 0).all()
         assert cm.elements_processed == 0
 
+    def test_sparse_decrement(self):
+        data = np.random.default_rng(5).integers(-50, 50, 600).astype(np.int32)
+        cm = CountMinSketch(65536, 5, 7)
+        cm.update_batch(data)
+        cm.decrement_batch(data[:400])
+        ref = CountMinSketch(65536, 5, 7)
+        ref.update_batch(data[400:])
+        assert cm._dense is None
+        assert cm.to_bytes() == ref.to_bytes()
+
     def test_serde(self):
         cm = CountMinSketch(64, 3, 7)
         cm.update_batch(RNG.integers(0, 100, 100).astype(np.int32))
@@ -906,17 +916,36 @@ class TestCountMinGroupedIngest:
         a, b = CountMinSketch(width, height, 7), CountMinSketch(width, height, 7)
         if dense:
             _ = a.array, b.array  # start dense
+        exact = np.zeros(width * height, dtype=np.int64)
         for idx in idx_list:
             a.apply_precomputed(pre, idx)
             b.update_batch(values[idx])
             assert a.to_bytes() == b.to_bytes()
-        return a
+            # both paths against a plain per-cell count
+            np.add.at(exact, a._flat_indices(values[idx]), 1)
+            counters = Synopsis.from_bytes(a.to_bytes()).array.ravel()
+            assert np.array_equal(counters, exact.astype(np.int32))
+        return a, pre
+
+    def test_batch_of_distinct_keys_stays_per_row(self):
+        values = self.rng.permutation(10_000).astype(np.int32)[:3000]
+        idx_list = [np.arange(k, k + 300) for k in range(0, 3000, 300)]
+        _, pre = self._check(65536, 5, values, idx_list)
+        assert pre[1] is None and pre[0].shape == (3000, 5)
+
+    def test_small_and_large_slices_of_a_repeating_batch(self):
+        values = self.rng.integers(0, 400, 4000).astype(np.int32)
+        # slices under a quarter of the distinct keys add their rows' cells;
+        # larger ones count their keys first
+        idx_list = [np.arange(0, 20), np.arange(20, 4000, 3), np.arange(5)]
+        _, pre = self._check(65536, 5, values, idx_list)
+        assert pre[1] is not None and len(pre[0]) == len(np.unique(values))
 
     def test_heavy_duplicates(self):
         values = self.rng.choice(
             np.array([3, -7, 12345, 2**31 - 1], dtype=np.int32), 5000
         )
-        a = self._check(65536, 5, values, [np.arange(5000)])
+        a, _ = self._check(65536, 5, values, [np.arange(5000)])
         assert a._dense is None and len(a._sp_idx) <= 4 * 5
 
     def test_negative_int32_keys(self):
@@ -933,7 +962,7 @@ class TestCountMinGroupedIngest:
         idx_list = [np.empty(0, dtype=np.int64)] + [
             np.flatnonzero(groups == g) for g in range(4)
         ] + [np.empty(0, dtype=np.int64), np.arange(0, 3000, 7)]
-        a = self._check(65536, 3, values, idx_list)
+        a, _ = self._check(65536, 3, values, idx_list)
         assert a.elements_processed == 3000 + len(np.arange(0, 3000, 7))
 
     def test_empty_batch(self):
@@ -943,17 +972,19 @@ class TestCountMinGroupedIngest:
     def test_sparse_to_dense_crossing(self):
         values = self.rng.integers(-(2**31), 2**31 - 1, 4000).astype(np.int32)
         idx_list = [np.arange(k, k + 100) for k in range(0, 4000, 100)]
-        a = self._check(64, 3, values, idx_list)
+        a, _ = self._check(64, 3, values, idx_list)
         assert a._dense is not None  # crossed the ~1/3 fill threshold
 
     def test_dense_small_and_large_updates(self):
-        values = self.rng.integers(0, 50_000, 20_000).astype(np.int32)
+        values = self.rng.integers(0, 2000, 20_000).astype(np.int32)
         values[:40] = np.repeat(values[:10], 4)  # repeated keys in each head
-        # few keys against a wide sketch: the np.add.at branch; then the
-        # bincount branch
+        # per-row slices (under a quarter of the keys) and counted slices,
+        # each through the np.add.at branch (few cells against a wide
+        # sketch) and the bincount branch
         self._check(65536, 5, values, [np.arange(40), np.arange(20_000)],
                     dense=True)
-        self._check(256, 5, values, [np.arange(8), np.arange(5000)], dense=True)
+        self._check(256, 5, values,
+                    [np.arange(8), np.arange(300), np.arange(5000)], dense=True)
 
 
 class TestCountMinWeighted:
