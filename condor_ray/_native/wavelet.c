@@ -9,11 +9,15 @@
  * queries and serialization, so everything outside the O(n) build loop stays
  * in Python.
  *
- * Poll-order note (mirrors _ErrorHeap): the compareTo key is
- * (maxabserror, level, orderinlevel); (level, orderinlevel) identifies a
- * live tree position, so keys are unique among live entries and lazy
- * deletion (a per-node version stamp) cannot reorder a reference-visible
- * poll.  Compiled with plain -O2 (SSE2 doubles, no -ffast-math) so float
+ * Error heap: an indexed binary min-heap holding exactly the live nodes.
+ * Each node stores its heap slot (`hpos`), so an error update re-keys the
+ * node in place (one sift up or down) and a poll never meets a stale
+ * entry.  Poll order
+ * (mirrors _ErrorHeap): the compareTo key is (maxabserror, level,
+ * orderinlevel), with a NaN maxabserror ordered after every number.
+ * (level, orderinlevel) identifies a live tree position, so the key is
+ * unique among live nodes and the poll order does not depend on the heap's
+ * shape.  Compiled with plain -O2 (SSE2 doubles, no -ffast-math) so float
  * arithmetic matches CPython exactly.
  */
 
@@ -35,9 +39,8 @@ typedef struct {
     int32_t front;             /* front index or NIL */
     int32_t left_most_child, parent, next_sibling, previous_sibling;
     int32_t reltoparent;
-    uint32_t version;          /* bumped on heap remove/poll; persists across reuse */
+    int32_t hpos;              /* slot in the error heap or NIL */
     uint8_t alive;
-    uint8_t in_live;
 } Node;
 
 typedef struct {
@@ -54,7 +57,6 @@ typedef struct {
     int64_t order;             /* orderinlevel */
     int32_t level;
     int32_t node;
-    uint32_t version;
 } HeapEnt;
 
 typedef struct {
@@ -72,72 +74,81 @@ typedef struct {
     int64_t hlen, hcap;
 } Ctx;
 
-/* ---------------- heap (lazy deletion) ---------------- */
+/* ---------------- error heap (indexed) ---------------- */
 
 static inline int ent_lt(const HeapEnt *a, const HeapEnt *b) {
-    if (a->key != b->key) return a->key < b->key;
+    if (a->key < b->key) return 1;
+    if (a->key > b->key) return 0;
+    /* equal keys, or a NaN on either side: a NaN polls after every number */
+    int a_nan = a->key != a->key, b_nan = b->key != b->key;
+    if (a_nan != b_nan) return b_nan;
     if (a->level != b->level) return a->level < b->level;
-    if (a->order != b->order) return a->order < b->order;
-    return 0; /* ties only among stale entries; order immaterial */
+    return a->order < b->order;
 }
 
-static void heap_push(Ctx *c, HeapEnt e) {
+static inline void heap_set(Ctx *c, int64_t i, HeapEnt e) {
+    c->heap[i] = e;
+    c->nodes[e.node].hpos = (int32_t)i;
+}
+
+static void sift_up(Ctx *c, int64_t i) {
+    HeapEnt e = c->heap[i];
+    while (i > 0) {
+        int64_t p = (i - 1) >> 1;
+        if (!ent_lt(&e, &c->heap[p])) break;
+        heap_set(c, i, c->heap[p]);
+        i = p;
+    }
+    heap_set(c, i, e);
+}
+
+static void sift_down(Ctx *c, int64_t i) {
+    HeapEnt e = c->heap[i];
+    int64_t n = c->hlen;
+    for (;;) {
+        int64_t l = 2 * i + 1, r = l + 1, m = i;
+        if (l < n && ent_lt(&c->heap[l], &e)) m = l;
+        if (r < n && ent_lt(&c->heap[r], (m == i) ? &e : &c->heap[m])) m = r;
+        if (m == i) break;
+        heap_set(c, i, c->heap[m]);
+        i = m;
+    }
+    heap_set(c, i, e);
+}
+
+static void eh_add(Ctx *c, int32_t ni) {
     if (c->hlen == c->hcap) {
         c->hcap = c->hcap ? c->hcap * 2 : 1024;
         c->heap = (HeapEnt *)realloc(c->heap, (size_t)c->hcap * sizeof(HeapEnt));
     }
-    int64_t i = c->hlen++;
-    while (i > 0) {
-        int64_t p = (i - 1) >> 1;
-        if (!ent_lt(&e, &c->heap[p])) break;
-        c->heap[i] = c->heap[p];
-        i = p;
-    }
-    c->heap[i] = e;
-}
-
-static HeapEnt heap_pop(Ctx *c) {
-    HeapEnt top = c->heap[0];
-    HeapEnt last = c->heap[--c->hlen];
-    int64_t i = 0, n = c->hlen;
-    for (;;) {
-        int64_t l = 2 * i + 1, r = l + 1, m = i;
-        if (l < n && ent_lt(&c->heap[l], &last)) m = l;
-        if (r < n && ent_lt(&c->heap[r], (m == i) ? &last : &c->heap[m])) m = r;
-        if (m == i) break;
-        c->heap[i] = c->heap[m];
-        i = m;
-    }
-    if (n > 0) c->heap[i] = last;
-    return top;
-}
-
-static inline void eh_add(Ctx *c, int32_t ni) {
     Node *nd = &c->nodes[ni];
-    nd->in_live = 1;
-    HeapEnt e = {nd->maxabserror, nd->orderinlevel, nd->level, ni, nd->version};
-    heap_push(c, e);
+    HeapEnt e = {nd->maxabserror, nd->orderinlevel, nd->level, ni};
+    c->heap[c->hlen] = e;
+    sift_up(c, c->hlen++);
 }
 
-static inline void eh_remove(Ctx *c, int32_t ni) {
-    Node *nd = &c->nodes[ni];
-    if (nd->in_live) {
-        nd->in_live = 0;
-        nd->version++;
-    }
+/* The node's maxabserror changed: move its entry to its new place, the
+ * effect of the reference's remove(node) + add(node).  Only the descendants
+ * and ancestors of the node being discarded are re-keyed; they are live, and
+ * every live node except the one just polled is in the heap. */
+static void eh_rekey(Ctx *c, int32_t ni) {
+    int64_t i = c->nodes[ni].hpos;
+    c->heap[i].key = c->nodes[ni].maxabserror;
+    if (i > 0 && ent_lt(&c->heap[i], &c->heap[(i - 1) >> 1]))
+        sift_up(c, i);
+    else
+        sift_down(c, i);
 }
 
 static int32_t eh_poll(Ctx *c) {
-    while (c->hlen > 0) {
-        HeapEnt e = heap_pop(c);
-        Node *nd = &c->nodes[e.node];
-        if (nd->alive && nd->in_live && nd->version == e.version) {
-            nd->in_live = 0;
-            nd->version++;
-            return e.node;
-        }
+    if (c->hlen == 0) return NIL;
+    int32_t top = c->heap[0].node;
+    c->nodes[top].hpos = NIL;
+    if (--c->hlen > 0) {
+        heap_set(c, 0, c->heap[c->hlen]);
+        sift_down(c, 0);
     }
-    return NIL;
+    return top;
 }
 
 /* ---------------- arenas ---------------- */
@@ -194,7 +205,6 @@ static int32_t node_new(Ctx *c, double data, int32_t level, int64_t order,
             c->nodes = (Node *)realloc(c->nodes, (size_t)c->ncap * sizeof(Node));
         }
         ni = c->nalloc++;
-        c->nodes[ni].version = 0;
     }
     Node *nd = &c->nodes[ni];
     nd->data = data;
@@ -210,7 +220,7 @@ static int32_t node_new(Ctx *c, double data, int32_t level, int64_t order,
     nd->next_sibling = NIL;
     nd->previous_sibling = NIL;
     nd->alive = 1;
-    nd->in_live = 0;
+    nd->hpos = NIL;
     if (left_child != NIL) {
         nd->left_most_child = left_child;
         set_parent_chain(c, left_child, ni);
@@ -224,7 +234,6 @@ static int32_t node_new(Ctx *c, double data, int32_t level, int64_t order,
 
 static void node_free(Ctx *c, int32_t ni) {
     c->nodes[ni].alive = 0;
-    c->nodes[ni].version++;
     if (c->nfree == c->fcap_free) {
         c->fcap_free = c->fcap_free ? c->fcap_free * 2 : 1024;
         c->freelist = (int32_t *)realloc(c->freelist,
@@ -353,7 +362,6 @@ static void propagate_error_down(Ctx *c, int32_t di, int32_t ai) {
     /* sibling recursion unrolled into a loop; child recursion bounded by
      * tree height */
     while (di != NIL) {
-        eh_remove(c, di);
         Node *d = &c->nodes[di];
         double ad = c->nodes[ai].data;
         if (ancestor_relationship(d, &c->nodes[ai]) == REL_LEFT) {
@@ -368,7 +376,7 @@ static void propagate_error_down(Ctx *c, int32_t di, int32_t ai) {
             d->maxerrorright += ad;
         }
         compute_ma(c, di);
-        eh_add(c, di);
+        eh_rekey(c, di);
         if (d->left_most_child != NIL)
             propagate_error_down(c, d->left_most_child, ai);
         di = d->next_sibling;
@@ -380,9 +388,8 @@ static void propagate_error_up(Ctx *c, int32_t pi) {
     while (necessary && pi != NIL) {
         necessary = compute_error_values(c, pi, NIL);
         if (necessary) {
-            eh_remove(c, pi);
             compute_ma(c, pi);
-            eh_add(c, pi);
+            eh_rekey(c, pi);
         }
         pi = c->nodes[pi].parent;
     }

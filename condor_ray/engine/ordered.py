@@ -220,30 +220,33 @@ _EMPTY_MANAGER_TABLE = pa.table(
 )
 
 
+def turn_order(tbl: pa.Table, leading: tuple[str, ...] = ()) -> np.ndarray:
+    """Row order of the ordered wavelet path: ascending ``leading`` columns,
+    then (ts, conv_id, turn_idx), nulls last.  Shared by the batch build and
+    the streaming split so both feed the kernels the same sequence.
+
+    Arrow's native multi-key sort: C++ string compares for the conv_id
+    tie-break (6x faster than ``np.lexsort`` on an object array, and
+    order-identical: the sort is stable and UTF-8 byte order is code-point
+    order).  A null conv_id sorts last instead of failing the comparison."""
+    import pyarrow.compute as pc
+
+    keys = (*leading, "ts", "conv_id", "turn_idx")
+    return pc.sort_indices(
+        tbl, sort_keys=[(k, "ascending") for k in keys]
+    ).to_numpy()
+
+
 def _emit_windows(tbl: pa.Table, size_us: int, size: int, parallelism: int) -> pa.Table:
     """Rows (window_id, ts, conv_id, turn_idx, value) -> one manager row per
-    window.  ONE lexsort establishes every window's (ts, conv_id, turn_idx)
+    window.  ONE sort establishes every window's (ts, conv_id, turn_idx)
     order, then each window segment round-robin splits into P sub-wavelets
     (C kernel) and assembles its manager — bit-identical to the groupby
     formulation (a sort of any superset of whole windows yields the same
     per-window segment order)."""
     if tbl.num_rows == 0:
         return _EMPTY_MANAGER_TABLE
-    # Arrow's native multi-key sort: C++ string compares for the conv_id
-    # tie-break (6x faster than np.unique-codes + np.lexsort on object
-    # arrays, order-identical — rows tied on all four keys are
-    # interchangeable since (conv_id, turn_idx) identifies a turn)
-    import pyarrow.compute as pc
-
-    order = pc.sort_indices(
-        tbl,
-        sort_keys=[
-            ("window_id", "ascending"),
-            ("ts", "ascending"),
-            ("conv_id", "ascending"),
-            ("turn_idx", "ascending"),
-        ],
-    ).to_numpy()
+    order = turn_order(tbl, leading=("window_id",))
     wid_s = tbl["window_id"].to_numpy()[order]
     val_s = tbl["value"].to_numpy()[order]
     bounds = np.concatenate(
@@ -495,34 +498,3 @@ def build_windowed_wavelets(
 
     return built.groupby("window_id").map_groups(assemble, batch_format="pandas")
 
-
-def wavelet_range_sums(ds, window: TumblingWindow, ranges, **kwargs):
-    """Evaluate range-sum queries against each window's wavelet manager.
-
-    ``ranges``: list of (left_frac, right_frac) in [0, 1] of the window's
-    element count.  Returns window_start, left, right, range_sum."""
-    syn = build_windowed_wavelets(ds, window, **kwargs)
-
-    def evaluate(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _, r in df.iterrows():
-            mgr = Synopsis.from_bytes(r["payload"])
-            n = int(r["n_rows"])
-            if n == 0:
-                continue
-            for lf, rf in ranges:
-                li = min(int(lf * n), n - 1)
-                ri = min(int(rf * n), n - 1)
-                rows.append(
-                    {
-                        "window_start": int(r["window_start"]),
-                        "left": li,
-                        "right": ri,
-                        "range_sum": mgr.range_sum_query(li, ri),
-                    }
-                )
-        return pd.DataFrame(
-            rows, columns=["window_start", "left", "right", "range_sum"]
-        )
-
-    return syn.map_batches(evaluate, batch_format="pandas")

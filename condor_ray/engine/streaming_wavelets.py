@@ -21,9 +21,10 @@ the P sub-wavelets, assembles the manager, and writes the emission file
 atomically (exactly-once, same mechanics as the mergeable engine).
 
 Per-row ordering invariant: within a fragment rows are taken in
-(ts, conv_id, turn_idx) order — the same stable per-turn order the batch path
-sorts by — so on a no-late, fragment-sorted stream the streaming managers are
-bit-identical to the batch ``build_windowed_wavelets`` output.
+(ts, conv_id, turn_idx) order, nulls last — ``ordered.turn_order``, the
+helper the batch path sorts with too — so on a no-late, fragment-sorted
+stream the streaming managers are bit-identical to the batch
+``build_windowed_wavelets`` output.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ..stages.extract import KeyExtractor, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.wavelets import DistributedWaveletsManager, WaveletSynopsis
 from ..windows import TumblingWindow
+from .ordered import turn_order
 from .streaming import _NEG_INF
 
 
@@ -61,8 +63,9 @@ def _split_wavelet_fragment(
     ordinal // P append order for that builder).
 
     Ordering modes:
-    - ``mini_batch=None`` (default): full (ts, conv_id, turn_idx) sort — the
-      stronger-than-reference guarantee the repo documents.
+    - ``mini_batch=None`` (default): full (ts, conv_id, turn_idx) sort
+      (``ordered.turn_order``) — the stronger-than-reference guarantee the
+      repo documents.
     - ``mini_batch=N`` reproduces the reference's ``OrderAndIndex``
       re-ordering knob (conn/.../processor/divide/OrderAndIndex.java:41-67):
       N=1 dispatches in raw arrival order; N>1 buffers N consecutive
@@ -83,9 +86,12 @@ def _split_wavelet_fragment(
         ts = ts[~late]
 
     if mini_batch is None:
-        conv = table["conv_id"].to_pandas().to_numpy()
-        turn = table["turn_idx"].to_numpy()
-        order = np.lexsort((turn, conv, ts))
+        order = turn_order(
+            pa.table(
+                {"ts": ts, "conv_id": table["conv_id"],
+                 "turn_idx": table["turn_idx"]}
+            )
+        )
     elif mini_batch <= 1:
         order = np.arange(len(ts), dtype=np.int64)  # raw arrival order
     else:

@@ -14,15 +14,17 @@ Reference:
   (prefix-sum slice offsets)
 - NonMergeableSynopsisManager: core/.../synopsis/NonMergeableSynopsisManager.java:5-36
 
-Java's ``PriorityQueue`` with ``remove(Object)`` is replaced by an indexed
+Java's ``PriorityQueue`` with ``remove(Object)`` is replaced by a
 lazy-deletion heap keyed by the reference's exact compareTo tuple
-``(maxabserror, level, orderinlevel)``, so poll order (including ties) matches.
+``(maxabserror, level, orderinlevel)``, so poll order (including ties) matches
+(the C build kernel uses an indexed heap with the same order).
 """
 
 from __future__ import annotations
 
 import ctypes
 import heapq
+import math
 
 import numpy as np
 
@@ -183,8 +185,16 @@ class FrontlineNode:
         self.level = level
 
     def merge_error(self, min_error, max_error):
-        self.positiveerror = max(max_error, self.positiveerror)
-        self.negativeerror = min(min_error, self.negativeerror)
+        # explicit compares, as in the C kernel: max()/min() pick a
+        # different operand on NaN and on -0.0 == 0.0
+        if max_error > self.positiveerror:
+            self.positiveerror = max_error
+        if min_error < self.negativeerror:
+            self.negativeerror = min_error
+
+
+# level offset that ranks a NaN key after +inf (see _ErrorHeap.add)
+_NAN_LEVEL = 1 << 40
 
 
 class _ErrorHeap:
@@ -195,7 +205,12 @@ class _ErrorHeap:
     entry)`` so heapq compares at C speed.  The compareTo key is unique among
     live nodes ((level, orderinlevel) identifies a tree position), so the
     ``seq`` tiebreaker never reorders a reference-visible poll; it only stops
-    tuple comparison from ever reaching ``entry``."""
+    tuple comparison from ever reaching ``entry``.
+
+    A NaN maxabserror would make ``<`` non-total and the poll order depend on
+    the heap's shape.  It is keyed ``(inf, level + _NAN_LEVEL, ...)``
+    instead: after every number, ties broken by (level, orderinlevel) — the
+    same total order as ``ent_lt`` in _native/wavelet.c."""
 
     def __init__(self):
         self._heap: list = []
@@ -206,9 +221,11 @@ class _ErrorHeap:
         entry = [node, True]
         self._live[id(node)] = entry
         self._seq += 1
+        key, level = node.maxabserror, node.level
+        if key != key:
+            key, level = math.inf, level + _NAN_LEVEL
         heapq.heappush(
-            self._heap,
-            (node.maxabserror, node.level, node.orderinlevel, self._seq, entry),
+            self._heap, (key, level, node.orderinlevel, self._seq, entry)
         )
 
     def remove(self, node: DataNode):
@@ -393,8 +410,17 @@ class WaveletSynopsis(Synopsis):
         if discarded.left_most_child is not None:
             self._propagate_error_down(discarded.left_most_child, discarded)
         if discarded.parent is None:
-            min_error = min(discarded.minerrorleft, discarded.minerrorright)
-            max_error = max(discarded.maxerrorleft, discarded.maxerrorright)
+            # C-kernel compares, not min()/max() (see merge_error)
+            min_error = (
+                discarded.minerrorleft
+                if discarded.minerrorleft < discarded.minerrorright
+                else discarded.minerrorright
+            )
+            max_error = (
+                discarded.maxerrorleft
+                if discarded.maxerrorleft > discarded.maxerrorright
+                else discarded.maxerrorright
+            )
             if discarded.front is None:
                 sibling = discarded.previous_sibling
                 while sibling.previous_sibling is not None:

@@ -606,6 +606,128 @@ class TestWaveletNative:
 
         return load_wavelet_native() is not None
 
+    @staticmethod
+    def _build(batches, size, native):
+        """One synopsis fed ``batches`` by successive update_batch calls, on
+        the C kernel or on the pure-Python path."""
+        import os
+
+        if not native:
+            os.environ["CONDOR_RAY_NO_NATIVE"] = "1"
+        try:
+            w = WaveletSynopsis(size)
+            for b in batches:
+                w.update_batch(np.asarray(b, dtype=np.float64))
+        finally:
+            os.environ.pop("CONDOR_RAY_NO_NATIVE", None)
+        assert (w._native is not None) == native
+        return w
+
+    @staticmethod
+    def _tree_state(w):
+        """The whole tree as exported arrays: every live node and front with
+        its raw float bytes (so -0.0 and NaN count), pointers named by the
+        node's unique (level, orderinlevel).  Fronts are numbered along the
+        frontline chain, then orphans in node order."""
+        import struct
+
+        w._ensure_python()
+        nodes = sorted(
+            (e[0] for e in w.error_heap._live.values()),
+            key=lambda n: (n.level, n.orderinlevel),
+        )
+        fronts = []
+        f = w.frontline_bottom
+        while f is not None:
+            fronts.append(f)
+            f = f.next
+        fid = {id(f): i for i, f in enumerate(fronts)}
+        for n in nodes:
+            if n.front is not None and id(n.front) not in fid:
+                fid[id(n.front)] = len(fronts)
+                fronts.append(n.front)
+
+        def key(n):
+            return None if n is None else (n.level, n.orderinlevel)
+
+        def raw(*xs):
+            return struct.pack(f"{len(xs)}d", *xs)
+
+        node_rows = [
+            (
+                key(n),
+                raw(n.data, n.maxerrorleft, n.minerrorleft, n.maxerrorright,
+                    n.minerrorright, n.maxabserror),
+                key(n.parent), key(n.left_most_child), key(n.next_sibling),
+                key(n.previous_sibling), n.reltoparent,
+                None if n.front is None else fid[id(n.front)],
+            )
+            for n in nodes
+        ]
+        front_rows = [
+            (raw(f.value, f.positiveerror, f.negativeerror), f.level,
+             key(f.hung_child))
+            for f in fronts
+        ]
+        return node_rows, front_rows, w.stream_element_counter, raw(w._data1)
+
+    def _assert_same_tree(self, batches, size):
+        native = self._tree_state(self._build(batches, size, True))
+        pure = self._tree_state(self._build(batches, size, False))
+        assert native == pure
+
+    def test_native_tree_equals_python_on_ties(self):
+        # integer values with <= 4 distinct values: the shape of a turn_idx
+        # stream, where many coefficients tie on maxabserror
+        if not self._native_available():
+            pytest.skip("no C compiler available")
+        rng = np.random.default_rng(5)
+        for trial in range(24):
+            n = int(rng.integers(1, 700))
+            distinct = int(rng.integers(1, 5))
+            data = rng.integers(0, distinct, n).astype(np.float64)
+            self._assert_same_tree([data], int(rng.choice([2, 3, 8, 64])))
+
+    def test_native_tree_equals_python_small_budgets_odd_lengths(self):
+        if not self._native_available():
+            pytest.skip("no C compiler available")
+        rng = np.random.default_rng(6)
+        for size in (2, 3):
+            for n in (1, 3, 5, 17, 63, 129, 255):
+                self._assert_same_tree([rng.normal(size=n)], size)
+                self._assert_same_tree(
+                    [rng.integers(0, 3, n).astype(np.float64)], size
+                )
+
+    def test_native_tree_equals_python_across_update_batches(self):
+        if not self._native_available():
+            pytest.skip("no C compiler available")
+        rng = np.random.default_rng(7)
+        for trial in range(12):
+            n = int(rng.integers(10, 500))
+            data = (
+                rng.integers(0, 4, n).astype(np.float64)
+                if trial % 2
+                else rng.uniform(-10, 10, n)
+            )
+            cuts = np.sort(rng.integers(0, n, int(rng.integers(1, 5))))
+            batches = np.split(data, cuts)  # empty and odd-length pieces too
+            self._assert_same_tree(batches, int(rng.choice([2, 3, 16, 128])))
+
+    def test_native_tree_equals_python_with_nan_and_inf(self):
+        # a NaN maxabserror polls after every number in both heaps, ties
+        # broken by (level, orderinlevel); without that total order the
+        # two builds diverged on nearly every such input
+        if not self._native_available():
+            pytest.skip("no C compiler available")
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n = int(rng.integers(2, 65))
+            data = rng.normal(size=n)
+            hit = rng.integers(0, n, int(rng.integers(1, 4)))
+            data[hit] = rng.choice([np.nan, np.inf, -np.inf], len(hit))
+            self._assert_same_tree([data], int(rng.choice([2, 3, 4, 8])))
+
     def test_native_build_bit_exact(self):
         if not self._native_available():
             pytest.skip("no C compiler available")
