@@ -1,10 +1,9 @@
-"""Shared async exactly-once sink for the streaming driver loops.
+"""Exactly-once sink shared by the streaming engines.
 
-One Ray task per close cycle: concat the state stores' emission tables,
-canonically sort, write to a temp file, atomically rename.  Replayed
-fragments rewrite byte-identical files (idempotent), and the driver loop
-never blocks on emission I/O — it drains outstanding emit futures before
-writing a checkpoint so resume never skips an un-emitted fragment.
+Each close cycle writes one file atomically (temp file + rename), so a
+replayed fragment rewrites a byte-identical file and a crash never leaves a
+torn one.  ``atomic_emit`` is the common close task: concat the state
+actors' emission tables, sort canonically, write.
 """
 
 from __future__ import annotations
@@ -16,6 +15,13 @@ import pyarrow.parquet as pq
 import ray
 
 
+def write_atomic(path: str, table: pa.Table) -> int:
+    tmp = path + f".tmp-{os.getpid()}"
+    pq.write_table(table, tmp)
+    os.replace(tmp, path)
+    return table.num_rows
+
+
 @ray.remote
 def atomic_emit(out_dir: str, prefix: str, idx: int,
                 sort_keys: list[tuple[str, str]] | None, *tables) -> int:
@@ -25,8 +31,4 @@ def atomic_emit(out_dir: str, prefix: str, idx: int,
     out = pa.concat_tables(tables)
     if sort_keys:
         out = out.sort_by(sort_keys)
-    path = os.path.join(out_dir, f"{prefix}-f{idx:05d}.parquet")
-    tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(out, tmp)
-    os.replace(tmp, path)
-    return out.num_rows
+    return write_atomic(os.path.join(out_dir, f"{prefix}-f{idx:05d}.parquet"), out)

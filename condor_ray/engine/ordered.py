@@ -30,6 +30,7 @@ from ..stages.extract import KeyExtractor, stable_partition_order, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.wavelets import DistributedWaveletsManager, WaveletSynopsis
 from ..windows import TumblingWindow
+from .driver import _ts_stats_task
 
 
 def _shard_wavelet_block(
@@ -170,12 +171,12 @@ def _build_wavelets_waved(
     import ray
     import ray.data as rd
 
-    min_ts_task = ray.remote(num_cpus=0.25)(_fragment_min_ts)
+    stats = _ts_stats_task.options(num_cpus=0.25)
     # footer probes in bounded chunks (not 10^5 simultaneous submissions)
     frag_min: list[int] = []
     for lo in range(0, len(paths), 4 * wave):
         frag_min.extend(
-            ray.get([min_ts_task.remote(p) for p in paths[lo : lo + 4 * wave]])
+            mn for mn, _ in ray.get([stats.remote(p) for p in paths[lo : lo + 4 * wave]])
         )
     # threshold after wave ending at fragment e = min ts of fragments [e:)
     suffix_min = [2**62] * (len(paths) + 1)
@@ -310,35 +311,6 @@ def _build_wavelet_wave(
     keep = tbl.filter(pc.invert(done_mask))
     out = _emit_windows(done, size_us, size, parallelism)
     return out, (keep.combine_chunks() if keep.num_rows else None)
-
-
-def _fragment_min_ts(path: str) -> int:
-    """Min epoch-µs ts of one fragment from the Parquet FOOTER statistics
-    (no data pages read); falls back to reading the ts column when a row
-    group lacks stats.  2**62 for empty fragments."""
-    import pyarrow.parquet as pq
-
-    f = pq.ParquetFile(path)
-    md = f.metadata
-    col_idx = None
-    for i in range(md.num_columns):
-        if md.schema.column(i).path == "ts":
-            col_idx = i
-            break
-    mins: list[int] = []
-    for rg in range(md.num_row_groups):
-        g = md.row_group(rg)
-        if g.num_rows == 0:
-            continue
-        st = g.column(col_idx).statistics if col_idx is not None else None
-        if st is None or not st.has_min_max:
-            ts = ts_to_us(f.read(columns=["ts"])["ts"])
-            return int(ts.min()) if len(ts) else 2**62
-        m = st.min
-        if not isinstance(m, (int, np.integer)):
-            m = pd.Timestamp(m).value // 1000  # datetime stat -> epoch µs
-        mins.append(int(m))
-    return min(mins) if mins else 2**62
 
 
 def build_windowed_wavelets(

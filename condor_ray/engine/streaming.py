@@ -1,51 +1,33 @@
-"""Streaming synopsis job: micro-batch replay of ts-ordered Parquet fragments
-through hash-partitioned state-store actors with event-time watermarks,
-exactly-once emission, and checkpoint/resume.
+"""Streaming synopsis job: hash-partitioned state-store actors build sliced
+mergeable synopses over the fragment stream that ``driver.py`` walks.
 
-This is the north-rule heart (BASELINE.json): the Ray-native counterpart of
-Condor's Scotty path (conn/.../processor/SynopsisBuilder.java:298-342 +
-KeyedScottyWindowOperator) with the reliability features the reference
-delegates to Flink (and never enables — no ``enableCheckpointing`` anywhere in
-the repo) designed in explicitly:
+The Ray-native counterpart of Condor's Scotty path
+(conn/.../processor/SynopsisBuilder.java:298-342 + KeyedScottyWindowOperator):
 
-- **Stream**: the fragment file sequence IS the stream; fragment order =
-  arrival order (sources write them ts-ordered with 10% late arrivals).
-- **Partitioning**: an explicit shuffle — a split task per fragment cuts it
-  into P shards by ``murmur(hash32(conv_id)) % P`` (separate Ray object per
+- **Partitioning**: an explicit shuffle.  A split task per fragment cuts it
+  into P shards by ``murmur(hash32(conv_id)) % P`` (one Ray object per
   shard, so each shard moves only to its actor).  Hot conversations (rows in
-  fragment > ``hot_key_threshold``) are salted round-robin across partitions —
-  safe because mergeable-synopsis state is keyed by (stratum, slice), not by
-  conv (SURVEY §4 skew row).
-- **Watermark**: global, advanced at fragment boundaries to
-  ``max ts seen`` (the reference's max-seen assigner,
+  fragment > ``hot_key_threshold``) are salted round-robin across
+  partitions, which is safe because mergeable-synopsis state is keyed by
+  (stratum, slice), not by conv (SURVEY §4 skew row).
+- **Late rule**: applied in the split.  A row is late iff its slice end <=
+  the carry-in watermark (the max-seen assigner of
   bench/.../sources/utils/SyntheticTimestampsAndWatermarks.java:17-28, at
-  Flink's periodic-watermark granularity).  A row is LATE iff its slice end
-  <= the watermark of the previous fragment; late rows are dropped and
-  counted (UnorderedSource semantics — late-by-20s rows never reach closed
-  windows).
-- **Window close**: window w closes when watermark >= end(w); its slices are
-  frozen by then (any update to them would be late), so the close cycle
-  snapshots slice partials from all P stores, merges per slice then per
-  window, and emits.  Slices are evicted once no remaining window needs them.
-- **Exactly-once**: each fragment k's close cycle writes
-  ``emit-f{k:05d}.parquet`` atomically (tmp + rename).  Replaying fragment k
-  after a crash rewrites byte-identical files, so task retries and
-  checkpoint resume cannot duplicate or lose windows.  A manifest JSON lines
-  file records per-fragment lineage {fragment, path, rows, late_dropped,
-  watermark}; pipelined runs append a summary line with total
-  windows_emitted (emits are async there).
-- **Checkpoint/resume**: every ``checkpoint_every`` fragments the driver
-  collects actor snapshots + its own cursor and writes an atomic checkpoint
-  dir; ``resume=True`` restores the newest checkpoint (by fragment cursor),
-  cuts the manifest back to that cursor and replays only the remaining
-  fragments, so each fragment is recorded once.
+  fragment granularity); late rows are dropped and counted, so late-by-20s
+  rows never reach closed windows.
+- **Window close**: window w closes when watermark >= end(w).  Its slices
+  are frozen by then (any update to them would be late), so the close cycle
+  snapshots slice partials from all P stores and one task merges them per
+  slice, then per window, and writes ``emit-f{k:05d}.parquet``.  Slices are
+  evicted once no remaining window needs them.
+
+This module also holds the conv-hash routing every streaming splitter shares
+(``conv_partition_ids``, ``split_by_conv``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -54,17 +36,14 @@ import ray
 
 from ..config import BuildConfiguration
 from ..hashing import java_string_hash_arrow
+from ..runtime import cluster_cpus
 from ..stages.extract import stable_partition_order, ts_to_us
 from ..state.store import PartitionStateStore
 from ..synopses.base import Synopsis
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
 from .batch import _common_slice_us, _window_kind
-from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
-
-_NEG_INF = -(2**62)
-
-
-from ..runtime import cluster_cpus as _cluster_cpus
+from .driver import NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
+from .emit import write_atomic
 
 
 def _murmur_mix_array(codes: np.ndarray) -> np.ndarray:
@@ -119,6 +98,38 @@ def conv_partition_ids(conv_col, parallelism: int):
     return lut[codes], codes, dic
 
 
+def _cut_shards(table: pa.Table, part: np.ndarray, parallelism: int) -> list:
+    """One stable sort + zero-copy slices instead of P masked filters (P
+    filters cost O(P*n) per fragment: anti-scaling as P grows)."""
+    sorted_tbl = table.take(pa.array(stable_partition_order(part, parallelism)))
+    counts = np.bincount(part, minlength=parallelism)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return [sorted_tbl.slice(offsets[p], counts[p]) for p in range(parallelism)]
+
+
+def _ts_meta(ts: np.ndarray) -> dict:
+    n = len(ts)
+    return {"n_rows": n, "frag_max_ts": int(ts.max()) if n else _NEG_INF,
+            "frag_min_ts": int(ts.min()) if n else POS_INF}
+
+
+def split_by_conv(path: str, parallelism: int, columns: list[str] | None):
+    """Watermark-free split: P shards by conv hash, for the engines whose
+    late rule runs at actor ingest.  Returns (meta, shard_0..shard_{P-1})."""
+    table = pq.read_table(path, columns=columns)
+    part, _, _ = conv_partition_ids(table["conv_id"], parallelism)
+    return (_ts_meta(ts_to_us(table["ts"])), *_cut_shards(table, part, parallelism))
+
+
+_split_by_conv_task = ray.remote(split_by_conv)
+
+
+def submit_split_by_conv(path: str, parallelism: int, columns: list[str] | None):
+    return _split_by_conv_task.options(num_returns=1 + parallelism).remote(
+        path, parallelism, columns
+    )
+
+
 def _partition_fragment(
     path: str,
     parallelism: int,
@@ -144,17 +155,14 @@ def _partition_fragment(
     # dictionary-preserving read: string columns stay index+dictionary,
     # slashing decode and copy bandwidth (the single-box bottleneck)
     table = pq.read_table(path, columns=columns, read_dictionary=dict_cols)
-    n = table.num_rows
     ts = ts_to_us(table["ts"])
-    frag_max = int(ts.max()) if n else _NEG_INF
-    frag_min = int(ts.min()) if n else 2**62
+    meta = _ts_meta(ts)
 
     # late rule: slice already frozen by the carry-in watermark
     late = (ts // slice_us + 1) * slice_us <= watermark_us
-    n_late = int(late.sum())
-    if n_late:
+    meta["n_late"] = int(late.sum())
+    if meta["n_late"]:
         table = table.filter(pa.array(~late))
-        ts = ts[~late]
 
     part, codes, dic = conv_partition_ids(table["conv_id"], parallelism)
 
@@ -180,17 +188,10 @@ def _partition_fragment(
         )
     if shard_columns is not None:
         table = table.select(shard_columns)
-    # one stable sort + zero-copy slices instead of P masked filters
-    # (P filters cost O(P*n) per fragment — anti-scaling as P grows)
-    order = stable_partition_order(part, parallelism)
-    sorted_tbl = table.take(pa.array(order))
-    counts_per_part = np.bincount(part, minlength=parallelism)
-    offsets = np.concatenate([[0], np.cumsum(counts_per_part)])
-    shards = [
-        sorted_tbl.slice(offsets[p], counts_per_part[p]) for p in range(parallelism)
-    ]
-    meta = {"n_rows": n, "n_late": n_late, "frag_max_ts": frag_max, "frag_min_ts": frag_min}
-    return (meta, *shards)
+    return (meta, *_cut_shards(table, part, parallelism))
+
+
+_partition_task = ray.remote(_partition_fragment)
 
 
 @ray.remote
@@ -299,58 +300,8 @@ def _merge_and_emit(
                 "n_rows": pa.array(counts, type=pa.int64()),
             }
         )
-        tmp = emit_path + f".tmp-{os.getpid()}"
-        pq.write_table(out, tmp)
-        os.replace(tmp, emit_path)  # atomic: exactly-once emission
+        write_atomic(emit_path, out)
     return n
-
-
-@ray.remote
-def _fragment_ts_stats(path: str) -> tuple[int, int]:
-    """(min_ts, max_ts) of one fragment in epoch us.
-
-    Served from the parquet footer's row-group statistics when every row
-    group carries them (exact for int64-physical timestamp columns; O(footer)
-    instead of decoding the whole ts column — the column-read phase A
-    measured ~0.9 s of a ~5 s 60 M-row CM ingest wall).  Falls back to the
-    column read when any row group lacks min/max."""
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    if md.num_rows == 0:
-        return (2**62, _NEG_INF)
-
-    def _column_read() -> tuple[int, int]:
-        ts = ts_to_us(pf.read(columns=["ts"])["ts"])
-        if len(ts) == 0:
-            return (2**62, _NEG_INF)
-        return (int(ts.min()), int(ts.max()))
-
-    # parquet LEAF column index (differs from the arrow field index when
-    # nested columns precede ts), like ordered._fragment_min_ts
-    idx = None
-    for i in range(md.num_columns):
-        if md.schema.column(i).path == "ts":
-            idx = i
-            break
-    if idx is None:
-        return _column_read()
-    mins: list = []
-    maxs: list = []
-    for rg in range(md.num_row_groups):
-        g = md.row_group(rg)
-        if g.num_rows == 0:
-            continue
-        st = g.column(idx).statistics
-        if st is None or not st.has_min_max:
-            return _column_read()
-        mins.append(st.min)
-        maxs.append(st.max)
-    if not mins:
-        return (2**62, _NEG_INF)
-    n = len(mins)
-    ts_type = md.schema.to_arrow_schema().field("ts").type
-    us = ts_to_us(pa.array(mins + maxs, type=ts_type))
-    return (int(us[:n].min()), int(us[n:].max()))
 
 
 def _evict_horizon(wm_us: int, windows, slice_us: int) -> int:
@@ -373,7 +324,20 @@ def _evict_horizon(wm_us: int, windows, slice_us: int) -> int:
     return h
 
 
-class StreamingSynopsisJob:
+class StreamingSynopsisJob(FragmentStreamJob):
+    """Sliced mergeable synopses: P ``PartitionStateStore`` actors hold
+    (stratum, slice) partials, and each close cycle merges the frozen slices
+    of every window the watermark has passed."""
+
+    late_at_ingest = False
+    cursor_fields = FragmentStreamJob.cursor_fields + ("closed_through",)
+    emit_schema = pa.schema([
+        ("window_kind", pa.string()), ("window_start", pa.int64()),
+        ("window_end", pa.int64()), ("stratum", pa.string()),
+        ("synopsis_type", pa.string()), ("payload", pa.binary()),
+        ("n_rows", pa.int64()),
+    ])
+
     def __init__(
         self,
         config: BuildConfiguration,
@@ -381,27 +345,17 @@ class StreamingSynopsisJob:
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 4,
         columns: list[str] | None = None,
-        close_every: int = 1,
     ):
-        """``close_every``: run the window-close cycle every N fragments
-        (amortizes collect/merge calls for fine-window jobs; window CONTENTS
-        are unchanged — slices are frozen by the watermark either way, close
-        timing only affects emission latency and file granularity)."""
         if not config.windows:
             raise ValueError("config.windows must not be empty")
         self.config = config
         self.windows = list(config.windows)
         self.slice_us = _common_slice_us(self.windows)
         self.parallelism = config.parallelism
-        self.out_dir = out_dir
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        # the fragment splitter partitions on conv_id and watermarks on ts,
-        # and the stores key/stratify on the configured columns — union them
-        # into any caller-provided projection so a non-default --key can't
-        # KeyError inside the first split task (the general form
-        # StreamingSessionJob already uses; callers needn't know engine
-        # internals to pick a projection)
+        # the split partitions on conv_id and watermarks on ts, and the
+        # stores key/stratify on the configured columns: union them into any
+        # caller-provided projection, so a non-default key cannot KeyError
+        # inside the first split task
         need = {"conv_id", "ts"}
         if config.sample_elements:
             need.add("turn_idx")  # _element_keys joins (conv_id, turn_idx)
@@ -415,149 +369,14 @@ class StreamingSynopsisJob:
         self.shard_columns = None if config.sample_elements else sorted(
             {"ts", "__key32", config.stratify_by} - {None}
         )
-        self.close_every = max(1, close_every)
-        os.makedirs(out_dir, exist_ok=True)
-        if checkpoint_dir:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-        self.stores = [
-            PartitionStateStore.remote(p, config, self.slice_us)
-            for p in range(self.parallelism)
-        ]
-        # driver cursor
-        self.watermark = _NEG_INF
-        self.min_ts = 2**62
-        self.next_fragment = 0
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
-        self.total_late = 0
-        self.total_rows = 0
-        # a final flush emits the still-open windows partial, so it ends the
-        # stream: a later run() would re-emit them (and reuse emit-f{N}).
-        # Set once the flush's close is dispatched, so a run that raised
-        # before it, or saw no rows, does not lock the job.
-        self.flushed = False
-
-    # -- checkpointing -----------------------------------------------------
-    def _checkpoint(self) -> None:
-        if not self.checkpoint_dir:
-            return
-        snaps = ray.get([s.snapshot.remote() for s in self.stores])
-        tmp = os.path.join(self.checkpoint_dir, f".tmp-ckpt-{self.next_fragment:05d}")
-        final = os.path.join(self.checkpoint_dir, f"ckpt-{self.next_fragment:05d}")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        for p, blob in enumerate(snaps):
-            with open(os.path.join(tmp, f"part-{p:04d}.bin"), "wb") as f:
-                f.write(blob)
-        meta = {
-            "next_fragment": self.next_fragment,
-            "watermark": self.watermark,
-            "min_ts": self.min_ts,
-            "closed_through": self.closed_through,
-            "total_late": self.total_late,
-            "total_rows": self.total_rows,
-            "parallelism": self.parallelism,
-        }
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump(meta, f)
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        prune_checkpoints(self.checkpoint_dir)
-
-    def resume(self) -> bool:
-        """Restore the newest checkpoint; returns True if one was found."""
-        if not self.checkpoint_dir:
-            return False
-        path = latest_checkpoint(self.checkpoint_dir)
-        if path is None:
-            return False
-        with open(os.path.join(path, "meta.json")) as f:
-            meta = json.load(f)
-        if meta["parallelism"] != self.parallelism:
-            raise ValueError("cannot resume with a different parallelism")
-        futures = []
-        for p, store in enumerate(self.stores):
-            with open(os.path.join(path, f"part-{p:04d}.bin"), "rb") as f:
-                futures.append(store.restore.remote(f.read()))
-        ray.get(futures)
-        self.next_fragment = meta["next_fragment"]
-        self.watermark = meta["watermark"]
-        self.min_ts = meta.get("min_ts", 2**62)
-        self.closed_through = list(meta["closed_through"])
-        self.total_late = meta["total_late"]
-        self.total_rows = meta["total_rows"]
-        truncate_manifest(self.out_dir, self.next_fragment)
-        return True
-
-    # -- close cycle -------------------------------------------------------
-    def _close_windows(self, fragment_idx: int, wm: int | None = None):
-        """Emit every window whose end <= watermark and not yet emitted.
-        Fires an async merge+emit task and returns its ObjectRef (or None if
-        nothing closed) — close cycles from successive fragments overlap, so
-        the conquer step parallelizes instead of serializing the driver loop.
-        Idempotent per fragment index.  ``wm`` overrides the close horizon
-        for the end-of-input flush WITHOUT mutating ``self.watermark``, which
-        stays the true max-seen timestamp."""
-        if wm is None:
-            wm = self.watermark
-        to_emit: list[tuple[int, int]] = []  # (window_def_idx, window_id)
-        for wi, w in enumerate(self.windows):
-            stride = w.size_us if isinstance(w, TumblingWindow) else w.slide_us
-            size = w.size_us
-            if self.closed_through[wi] == _NEG_INF:
-                # first close: start at the earliest window containing data
-                if self.min_ts >= 2**62:
-                    continue
-                first = max(0, (self.min_ts - size) // stride + 1)
-            else:
-                first = self.closed_through[wi]
-            wid = first
-            while wid * stride + size <= wm:
-                to_emit.append((wi, wid))
-                wid += 1
-            self.closed_through[wi] = wid
-        emit_path = os.path.join(self.out_dir, f"emit-f{fragment_idx:05d}.parquet")
-        if not to_emit:
-            return None
-
-        needed = sorted(
-            {
-                s
-                for wi, wid in to_emit
-                for s in slices_of_window(
-                    wid, _as_sliding(self.windows[wi]), self.slice_us
-                )
-            }
-        )
-        horizon = _evict_horizon(wm, self.windows, self.slice_us)
-        # merge + emit run in a Ray task fed directly by the actor outputs
-        # (object refs — the driver never touches synopsis payloads)
-        table_refs = [
-            s.collect_closed_slices_snapshot.remote(needed, horizon)
-            for s in self.stores
-        ]
-        emit_spec = [
-            {
-                "kind": _window_kind(self.windows[wi]),
-                "start": wid
-                * (
-                    self.windows[wi].size_us
-                    if isinstance(self.windows[wi], TumblingWindow)
-                    else self.windows[wi].slide_us
-                ),
-                "size": self.windows[wi].size_us,
-                "slices": list(
-                    slices_of_window(wid, _as_sliding(self.windows[wi]), self.slice_us)
-                ),
-            }
-            for wi, wid in to_emit
-        ]
-        return _merge_and_emit.remote(
-            emit_path, emit_spec, self.config.synopsis, *table_refs
+        super().__init__(
+            out_dir,
+            [PartitionStateStore.remote(p, config, self.slice_us)
+             for p in range(self.parallelism)],
+            checkpoint_dir, checkpoint_every,
         )
 
-    # -- main loop ---------------------------------------------------------
     def run(
         self,
         fragment_paths: list[str],
@@ -565,279 +384,68 @@ class StreamingSynopsisJob:
         final_flush: bool = True,
         pipelined: bool | None = None,
     ) -> dict:
-        """Process fragments from the restored/initial cursor.  With
-        ``final_flush=False`` the bounded-stream end-of-input flush (watermark
-        -> +inf) is skipped — used to simulate a crash mid-stream, and by
-        callers that continue the stream with a later run().  A final flush
-        ends the stream: any later run() raises ``RuntimeError``.
+        """``pipelined`` (default: True unless checkpointing) runs splits and
+        ingests max(4, 2 x CPUs) fragments ahead, with carry-in watermarks from
+        the footer statistics.  Its output equals the sequential run's: the
+        late filter depends only on each fragment's carry-in watermark, and
+        slice ingest commutes across fragments."""
+        pipelined = self.checkpoint_dir is None and pipelined is not False
+        lookahead = 1 + max(4, 2 * cluster_cpus()) if pipelined else 1
+        return self._run(fragment_paths, resume, final_flush, lookahead)
 
-        ``pipelined`` (default: True unless checkpointing): precompute every
-        fragment's watermark from a parallel metadata pass, then run ALL
-        split + ingest tasks concurrently — exact-output-equivalent because
-        (a) the late filter depends only on each fragment's carry-in
-        watermark, which is a prefix-max of per-fragment max timestamps, and
-        (b) mergeable-synopsis ingest is commutative across fragments.  Close
-        cycles still run in fragment order, so emission files are identical
-        to the sequential mode.  Incompatible with checkpointing (an actor
-        snapshot taken at fragment k could already contain later fragments),
-        so checkpoint_dir forces the sequential path."""
-        if self.flushed:
-            raise RuntimeError(
-                "StreamingSynopsisJob.run() after a final flush: the flush "
-                "already emitted the open windows; start a new job instead"
-            )
-        if resume:
-            self.resume()
-        if pipelined is None:
-            pipelined = self.checkpoint_dir is None
-        if self.checkpoint_dir is not None:
-            pipelined = False
-        if pipelined:
-            return self._run_pipelined(fragment_paths, final_flush)
-        manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
-        split = ray.remote(num_returns=1 + self.parallelism)(_partition_fragment)
-        for k in range(self.next_fragment, len(fragment_paths)):
-            path = fragment_paths[k]
-            refs = split.remote(
-                path,
-                self.parallelism,
-                self.slice_us,
-                self.watermark,
-                self.config.hot_key_threshold,
-                self.columns,
-                None if self.config.sample_elements else self.config.key,
-                self.shard_columns,
-            )
-            meta_ref, shard_refs = refs[0], refs[1:]
-            ingest_futs = [
-                store.ingest.remote(shard)
-                for store, shard in zip(self.stores, shard_refs)
-            ]
-            meta = ray.get(meta_ref)
-            ray.get(ingest_futs)
-            self.total_rows += meta["n_rows"]
-            self.total_late += meta["n_late"]
-            if meta["frag_min_ts"] < self.min_ts:
-                self.min_ts = meta["frag_min_ts"]
-            self.watermark = max(self.watermark, meta["frag_max_ts"])
-            # same close cadence as the pipelined path (close_every was
-            # silently dead here, breaking the cross-mode file equivalence)
-            if (k + 1) % self.close_every == 0 or k == len(fragment_paths) - 1:
-                emit_ref = self._close_windows(k)
-                if emit_ref is not None:
-                    # checkpointed (sequential) mode: emission must be durable
-                    # before the checkpoint that assumes it happened
-                    ray.get(emit_ref)
-            with open(manifest_path, "a") as f:
-                f.write(
-                    json.dumps(
-                        {
-                            "fragment": k,
-                            "path": os.path.basename(path),
-                            "rows": meta["n_rows"],
-                            "late_dropped": meta["n_late"],
-                            "watermark": self.watermark,
-                        }
-                    )
-                    + "\n"
-                )
-            self.next_fragment = k + 1
-            if self.checkpoint_dir and self.next_fragment % self.checkpoint_every == 0:
-                self._checkpoint()
-        if final_flush and self.watermark > _NEG_INF:
-            # end of stream: close with a horizon just past the last window
-            # containing data (a literal +inf would make the close loop
-            # enumerate windows forever).  Local override only:
-            # self.watermark stays the true max-seen timestamp.
-            max_span = max(w.size_us for w in self.windows)
-            ref = self._close_windows(
-                len(fragment_paths),
-                wm=self.watermark + max_span + self.slice_us,
-            )
-            self.flushed = True
-            if ref is not None:
-                ray.get(ref)
-        if final_flush:
-            # end-of-input only: continuous evaluators call run() once per
-            # cycle with final_flush=False — a summary line (plus a full
-            # actor-stats poll) per fragment would pollute the manifest
-            part_stats = ray.get([s.stats.remote() for s in self.stores])
-            with open(manifest_path, "a") as f:
-                f.write(
-                    json.dumps(
-                        {"summary": True, "rows": self.total_rows,
-                         "late_dropped": self.total_late,
-                         "partitions": part_stats}
-                    )
-                    + "\n"
-                )
-        return {
-            "rows": self.total_rows,
-            "late_dropped": self.total_late,
-            "fragments": self.next_fragment,
-        }
-
-    def _run_pipelined(self, fragment_paths: list[str], final_flush: bool) -> dict:
-        manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
-        paths = fragment_paths[self.next_fragment :]
-        if not paths:
-            return {
-                "rows": self.total_rows,
-                "late_dropped": self.total_late,
-                "fragments": self.next_fragment,
-            }
-        # phase A: per-fragment (min, max) ts from the parquet footers,
-        # submitted in bounded waves (at 100 TB / >=1e5 fragments a single
-        # list comprehension would put 1e5 simultaneous driver submissions
-        # in flight) and RESOLVED LAZILY just ahead of the split lookahead:
-        # fragment i's carry-in watermark needs only fragments < i, so the
-        # first split launches after one footer read instead of after a
-        # full-stream metadata prescan (which at 100 TB would idle the
-        # cluster for the entire prescan before byte one of data moved)
-        ncpu = _cluster_cpus()
-        wave = max(64, 4 * ncpu)
-        pending = [_fragment_ts_stats.remote(p) for p in paths[:wave]]
-        pending += [None] * (len(paths) - len(pending))
-        wms: list = [None] * len(paths)
-        wm_carry = self.watermark
-        resolved = 0
-
-        def ensure_wms(upto: int) -> None:
-            """Resolve carry-in watermarks for fragments < upto."""
-            nonlocal resolved, wm_carry
-            while resolved < min(upto, len(paths)):
-                j = resolved
-                nxt = j + wave
-                if nxt < len(paths):
-                    pending[nxt] = _fragment_ts_stats.remote(paths[nxt])
-                _lo, hi = ray.get(pending[j])
-                pending[j] = None
-                wms[j] = wm_carry
-                wm_carry = max(wm_carry, hi)
-                resolved += 1
-
-        emit_refs: list = []
-        # phase B+C: splits + ingests run ahead of the close cursor by a
-        # bounded lookahead, so in-flight slice state stays O(lookahead
-        # fragment span) instead of the whole stream span
-        split = ray.remote(num_returns=1 + self.parallelism)(_partition_fragment)
-        # enough fragments in flight to saturate the CPU budget; bounded so
-        # in-flight slice state stays proportional to the budget, not the
-        # stream length
-        lookahead = max(4, 2 * ncpu)
-        metas: list = [None] * len(paths)
-        ingests: list = [None] * len(paths)
-
-        def submit(i: int) -> None:
-            ensure_wms(i + 1)
-            refs = split.remote(
-                paths[i],
-                self.parallelism,
-                self.slice_us,
-                wms[i],
-                self.config.hot_key_threshold,
-                self.columns,
-                None if self.config.sample_elements else self.config.key,
-                self.shard_columns,
-            )
-            metas[i] = refs[0]
-            ingests[i] = [
-                store.ingest.remote(shard)
-                for store, shard in zip(self.stores, refs[1:])
-            ]
-
-        for i in range(min(lookahead, len(paths))):
-            submit(i)
-        base = self.next_fragment
-        for i, path in enumerate(paths):
-            meta = ray.get(metas[i])
-            ray.get(ingests[i])
-            metas[i] = ingests[i] = None
-            nxt = i + lookahead
-            if nxt < len(paths):
-                submit(nxt)
-            k = base + i
-            self.total_rows += meta["n_rows"]
-            self.total_late += meta["n_late"]
-            if meta["frag_min_ts"] < self.min_ts:
-                self.min_ts = meta["frag_min_ts"]
-            self.watermark = max(self.watermark, meta["frag_max_ts"])
-            if (k + 1) % self.close_every == 0 or i == len(paths) - 1:
-                ref = self._close_windows(k)
-                if ref is not None:
-                    emit_refs.append(ref)
-            with open(manifest_path, "a") as f:
-                f.write(
-                    json.dumps(
-                        {
-                            "fragment": k,
-                            "path": os.path.basename(path),
-                            "rows": meta["n_rows"],
-                            "late_dropped": meta["n_late"],
-                            "watermark": self.watermark,
-                        }
-                    )
-                    + "\n"
-                )
-            self.next_fragment = k + 1
-        if final_flush and self.watermark > _NEG_INF:
-            # local flush horizon only (see _close_windows)
-            max_span = max(w.size_us for w in self.windows)
-            ref = self._close_windows(
-                len(fragment_paths),
-                wm=self.watermark + max_span + self.slice_us,
-            )
-            self.flushed = True
-            if ref is not None:
-                emit_refs.append(ref)
-        n_windows = sum(ray.get(emit_refs)) if emit_refs else 0
-        part_stats = ray.get([s.stats.remote() for s in self.stores])
-        with open(manifest_path, "a") as f:
-            f.write(
-                json.dumps(
-                    {"summary": True, "windows_emitted": n_windows,
-                     "rows": self.total_rows, "late_dropped": self.total_late,
-                     "partitions": part_stats}
-                )
-                + "\n"
-            )
-        return {
-            "rows": self.total_rows,
-            "late_dropped": self.total_late,
-            "fragments": self.next_fragment,
-            "windows_emitted": n_windows,
-        }
-
-    def result_dataset(self):
-        import ray.data as rd
-
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith("emit-") and f.endswith(".parquet")
+    def _split(self, k: int, path: str, wm: int) -> list:
+        return _partition_task.options(num_returns=1 + self.parallelism).remote(
+            path,
+            self.parallelism,
+            self.slice_us,
+            wm,
+            self.config.hot_key_threshold,
+            self.columns,
+            None if self.config.sample_elements else self.config.key,
+            self.shard_columns,
         )
-        if not files:  # nothing emitted (e.g. all-late or empty stream)
-            import pandas as _pd
 
-            return rd.from_pandas(
-                _pd.DataFrame(
-                    {
-                        "window_kind": _pd.Series(dtype=object),
-                        "window_start": _pd.Series(dtype="int64"),
-                        "window_end": _pd.Series(dtype="int64"),
-                        "stratum": _pd.Series(dtype=object),
-                        "synopsis_type": _pd.Series(dtype=object),
-                        "payload": _pd.Series(dtype=object),
-                        "n_rows": _pd.Series(dtype="int64"),
-                    }
-                )
-            )
-        return rd.read_parquet(files)
+    def _close(self, wm: int, idx: int):
+        """Emit every window whose end <= ``wm`` and not yet emitted: an async
+        merge+emit task fed directly by the stores' slice snapshots (the
+        driver never touches synopsis payloads)."""
+        emit_spec: list[dict] = []  # grouped by window definition, ascending
+        for wi, w in enumerate(self.windows):
+            stride = w.size_us if isinstance(w, TumblingWindow) else w.slide_us
+            if self.closed_through[wi] != _NEG_INF:
+                wid = self.closed_through[wi]
+            elif self.min_ts < POS_INF:
+                # first close: start at the earliest window containing data
+                wid = max(0, (self.min_ts - w.size_us) // stride + 1)
+            else:
+                continue
+            while wid * stride + w.size_us <= wm:
+                emit_spec.append({
+                    "kind": _window_kind(w), "start": wid * stride, "size": w.size_us,
+                    "slices": list(slices_of_window(wid, _as_sliding(w), self.slice_us)),
+                })
+                wid += 1
+            self.closed_through[wi] = wid
+        if not emit_spec:
+            return None
+        needed = sorted({s for spec in emit_spec for s in spec["slices"]})
+        horizon = _evict_horizon(wm, self.windows, self.slice_us)
+        table_refs = [
+            s.collect_closed_slices_snapshot.remote(needed, horizon)
+            for s in self.stores
+        ]
+        emit_path = os.path.join(self.out_dir, f"emit-f{idx:05d}.parquet")
+        return _merge_and_emit.remote(
+            emit_path, emit_spec, self.config.synopsis, *table_refs
+        )
 
-    def shutdown(self) -> None:
-        for s in self.stores:
-            ray.kill(s)
-        self.stores = []
+    def _flush_wm(self) -> int:
+        # just past the last window containing data (a literal +inf would
+        # make the close loop enumerate windows forever)
+        return self.watermark + max(w.size_us for w in self.windows) + self.slice_us
+
+    def _summary(self) -> dict:
+        return {"partitions": ray.get([s.stats.remote() for s in self.stores])}
 
 
 def _as_sliding(w) -> SlidingWindow:

@@ -11,8 +11,7 @@ Semantics match the batch ``pipelines.temporal_join.asof_join`` bit-for-bit
 on a no-late stream (parity-tested): a probe at ts T emits once the
 watermark passes T — no future build arrival can have ts' <= T — with the
 tie-break "greatest (ts, turn_idx)" and -1 for no-match.  Late rows (ts
-behind the watermark at ingest) are dropped and counted, the same rule the
-synopsis engine applies.
+behind the watermark at ingest) are dropped and counted.
 
 Bounded state, the part that matters at 100 TB: per partition the actor
 buffers (a) probes not yet behind the watermark and (b) build rows newer
@@ -21,24 +20,19 @@ the watermark (the "current version" of the temporal table; anything older
 can never win an as-of match again).  Both are O(watermark lag + #keys in
 partition), never O(stream).
 
-Driver loop mirrors ``streaming_join.py``: prefetched watermark-free split
-tasks shard each fragment by ``hash(conv_id) % P`` with ``num_returns`` so
-shards never round-trip the driver; emit cycles run per fragment through
-the shared exactly-once ``atomic_emit`` sink.
+The stream loop is ``driver.py``'s: watermark-free conv-hash splits, the
+late rule at actor ingest, one emit file ``asof-f{k:05d}.parquet`` per close.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 
-from .emit import atomic_emit
-from .streaming import _NEG_INF
-from .streaming_join import _split_by_conv
+from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .streaming import submit_split_by_conv
 
 _OUT_SCHEMA = pa.schema(
     [
@@ -208,7 +202,7 @@ class AsofStateStore:
         }
 
 
-class StreamingAsofJob:
+class StreamingAsofJob(FragmentStreamJob):
     """Continuous as-of join over a ts-ordered fragment stream.
 
     ``direction="backward"`` (default) matches the latest build row at or
@@ -219,6 +213,10 @@ class StreamingAsofJob:
     unbounded forward join would buffer probes until end-of-stream (the
     batch ``asof_join`` handles that case; a stream needs the bound).
     Both directions are parity-tested against the batch operator."""
+
+    emit_prefix = "asof"
+    emit_schema = _OUT_SCHEMA
+    emitted_key = "rows_emitted"
 
     def __init__(
         self,
@@ -236,86 +234,22 @@ class StreamingAsofJob:
                 "forward join"
             )
         self.parallelism = parallelism
-        self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        self.stores = [
-            AsofStateStore.remote(p, direction, tolerance_us)
-            for p in range(parallelism)
-        ]
+        super().__init__(out_dir, [
+            AsofStateStore.remote(p, direction, tolerance_us) for p in range(parallelism)
+        ])
 
     def run(self, fragments: list[str], columns: list[str] | None = None) -> dict:
-        columns = columns or ["conv_id", "turn_idx", "role", "tool", "ts"]
-        split = ray.remote(num_returns=1 + self.parallelism)(_split_by_conv)
-        split_refs: dict[int, list] = {}
-        emit_futs: list = []
-        emitted = 0
-        wm = _NEG_INF
-        prefetch = 4
-        for k, path in enumerate(fragments):
-            for j in range(k, min(k + prefetch, len(fragments))):
-                if j not in split_refs:
-                    split_refs[j] = split.remote(
-                        fragments[j], self.parallelism, columns
-                    )
-            refs = split_refs.pop(k)
-            fmax_ref, shard_refs = refs[0], refs[1:]
-            late_futs = [
-                s.ingest.remote(sh, wm)
-                for s, sh in zip(self.stores, shard_refs)
-            ]
-            ray.get(late_futs)
-            wm = max(wm, ray.get(fmax_ref))
-            if wm > _NEG_INF:
-                emit_futs.append(
-                    atomic_emit.remote(
-                        self.out_dir, "asof", k, None,
-                        *[s.emit.remote(wm) for s in self.stores],
-                    )
-                )
-            if len(emit_futs) >= 32:
-                emitted += sum(ray.get(emit_futs))
-                emit_futs = []
-        emit_futs.append(
-            atomic_emit.remote(
-                self.out_dir, "asof", len(fragments), None,
-                *[s.emit.remote(2**62) for s in self.stores],
-            )
-        )  # end-of-stream flush
-        emitted += sum(ray.get(emit_futs))
+        self.columns = columns or ["conv_id", "turn_idx", "role", "tool", "ts"]
+        res = self._run(fragments)
+        return {"rows": res["rows_emitted"], "late_dropped": res["late_dropped"],
+                "max_buffered_rows": res["max_buffered_rows"]}
+
+    def _split(self, k: int, path: str, wm: int) -> list:
+        return submit_split_by_conv(path, self.parallelism, self.columns)
+
+    def _close(self, wm: int, idx: int):
+        return self._emit(idx, [s.emit.remote(wm) for s in self.stores])
+
+    def _summary(self) -> dict:
         st = ray.get([s.stats.remote() for s in self.stores])
-        return {
-            "rows": emitted,
-            "late_dropped": sum(s["late_dropped"] for s in st),
-            "max_buffered_rows": max(s["max_buffered"] for s in st),
-        }
-
-    def result_dataset(self):
-        import ray.data as rd
-
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith("asof-") and f.endswith(".parquet")
-        )
-        if not files:  # no probes / all-empty stream: atomic_emit wrote
-            # nothing, and read_parquet([]) raises — return the empty
-            # typed result like StreamingSynopsisJob.result_dataset
-            import pandas as _pd
-
-            return rd.from_pandas(
-                _pd.DataFrame(
-                    {
-                        "conv_id": _pd.Series(dtype=object),
-                        "ts_us": _pd.Series(dtype="int64"),
-                        "turn_idx": _pd.Series(dtype="int64"),
-                        "user_ts": _pd.Series(dtype="int64"),
-                        "user_turn": _pd.Series(dtype="int64"),
-                    }
-                )
-            )
-        return rd.read_parquet(files)
-
-    def shutdown(self) -> None:
-        for s in self.stores:
-            ray.kill(s)
-        self.stores = []
+        return {"max_buffered_rows": max(s["max_buffered"] for s in st)}

@@ -1,9 +1,8 @@
 """Streaming CEP: strict-contiguity pattern matching under watermarks.
 
 Runs :mod:`condor_ray.pipelines.cep`'s matcher incrementally over the
-micro-batch fragment stream with the same mechanics as the other streaming
-jobs (hash-partitioned state actors, watermark-driven emission, atomic
-exactly-once sink files, lineage manifest, checkpoint/resume).
+fragment stream that ``driver.py`` walks, in conv-hash-partitioned state
+actors.
 
 Incremental contract (why emissions equal the batch operator's):
 
@@ -20,22 +19,14 @@ Incremental contract (why emissions equal the batch operator's):
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
-
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
 from ..pipelines.cep import Step, find_match_starts, find_relaxed_matches
-from ..stages.extract import stable_partition_order, ts_to_us
-from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
-from .emit import atomic_emit
-from .streaming import _NEG_INF, conv_partition_ids
-
-_FAR_FUTURE = 2**62
+from ..stages.extract import ts_to_us
+from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .streaming import submit_split_by_conv
 
 _EMIT_SCHEMA = {
     "conv_id": pa.string(),
@@ -44,29 +35,6 @@ _EMIT_SCHEMA = {
     "start_ts": pa.int64(),
     "end_ts": pa.int64(),
 }
-
-
-def _partition_cep_fragment(
-    path: str,
-    parallelism: int,
-    columns: list[str] | None,
-):
-    """Split one fragment into P shards by conv hash.  Watermark-free on
-    purpose so split tasks PREFETCH ahead of the sequential watermark chain;
-    the late-row rule (``ts < carry-in watermark``) is applied inside the
-    state actors at ingest, where the processing-turn watermark is known."""
-    table = pq.read_table(path, columns=columns)
-    n = table.num_rows
-    ts = ts_to_us(table["ts"])
-    frag_max = int(ts.max()) if n else _NEG_INF
-    part, _, _ = conv_partition_ids(table["conv_id"], parallelism)
-    order = stable_partition_order(part, parallelism)
-    sorted_tbl = table.take(pa.array(order))
-    counts = np.bincount(part, minlength=parallelism)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    shards = [sorted_tbl.slice(offsets[p], counts[p]) for p in range(parallelism)]
-    meta = {"n_rows": n, "frag_max_ts": frag_max}
-    return (meta, *shards)
 
 
 _EMIT_SORT = [
@@ -429,10 +397,13 @@ class PatternStateStore:
         self.peak_pending_rows = st["peak_pending_rows"]
 
 
-class StreamingPatternJob:
-    """Micro-batch CEP job over ts-ordered Parquet fragments with watermarks,
-    exactly-once emission, and checkpoint/resume (same lineage mechanics as
-    the other streaming jobs)."""
+class StreamingPatternJob(FragmentStreamJob):
+    """Pattern matching per conversation: P ``PatternStateStore`` actors
+    buffer rows until the watermark makes them stable, then match them."""
+
+    emit_sort = _EMIT_SORT
+    emit_schema = pa.schema(list(_EMIT_SCHEMA.items()))
+    emitted_key = "matches_emitted"
 
     def __init__(
         self,
@@ -458,185 +429,26 @@ class StreamingPatternJob:
         self.within_us = within_ms * 1000 if within_ms is not None else None
         self.contiguity = contiguity
         self.parallelism = parallelism
-        self.out_dir = out_dir
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
         need = {"conv_id", "turn_idx", "ts"} | {s.col for s in steps}
         self.columns = sorted(need) if columns is None else columns
-        os.makedirs(out_dir, exist_ok=True)
-        if checkpoint_dir:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-        self.stores = [
-            PatternStateStore.remote(p, self.steps, self.within_us, contiguity)
-            for p in range(parallelism)
-        ]
-        self.watermark = _NEG_INF
-        self.next_fragment = 0
-        self.total_late = 0
-        self.total_rows = 0
-
-    def _checkpoint(self) -> None:
-        if not self.checkpoint_dir:
-            return
-        import shutil
-
-        snaps = ray.get([s.snapshot.remote() for s in self.stores])
-        tmp = os.path.join(self.checkpoint_dir, f".tmp-ckpt-{self.next_fragment:05d}")
-        final = os.path.join(self.checkpoint_dir, f"ckpt-{self.next_fragment:05d}")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        for p, blob in enumerate(snaps):
-            with open(os.path.join(tmp, f"part-{p:04d}.bin"), "wb") as f:
-                f.write(blob)
-        meta = {
-            "next_fragment": self.next_fragment,
-            "watermark": self.watermark,
-            "total_late": self.total_late,
-            "total_rows": self.total_rows,
-            "parallelism": self.parallelism,
-        }
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump(meta, f)
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        prune_checkpoints(self.checkpoint_dir)
-
-    def resume(self) -> bool:
-        if not self.checkpoint_dir:
-            return False
-        path = latest_checkpoint(self.checkpoint_dir)
-        if path is None:
-            return False
-        with open(os.path.join(path, "meta.json")) as f:
-            meta = json.load(f)
-        if meta["parallelism"] != self.parallelism:
-            raise ValueError("cannot resume with a different parallelism")
-        futs = []
-        for p, store in enumerate(self.stores):
-            with open(os.path.join(path, f"part-{p:04d}.bin"), "rb") as f:
-                futs.append(store.restore.remote(f.read()))
-        ray.get(futs)
-        self.next_fragment = meta["next_fragment"]
-        self.watermark = meta["watermark"]
-        self.total_late = meta["total_late"]
-        self.total_rows = meta["total_rows"]
-        truncate_manifest(self.out_dir, self.next_fragment)
-        return True
+        super().__init__(
+            out_dir,
+            [PatternStateStore.remote(p, self.steps, self.within_us, contiguity)
+             for p in range(parallelism)],
+            checkpoint_dir, checkpoint_every,
+        )
 
     def run(self, fragment_paths: list[str], resume: bool = False,
-            final_flush: bool = True, prefetch: int = 4) -> dict:
-        if resume:
-            self.resume()
-        manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
-        split = ray.remote(num_returns=1 + self.parallelism)(
-            _partition_cep_fragment
-        )
-        n_frag = len(fragment_paths)
-        # split tasks prefetch `prefetch` fragments ahead of the sequential
-        # watermark chain (they are watermark-free); emission runs as async
-        # Ray tasks — the driver loop only sequences ingest -> close
-        split_refs: dict[int, list] = {}
-        emit_futs: list = []
+            final_flush: bool = True) -> dict:
+        return self._run(fragment_paths, resume, final_flush)
 
-        def _drain_emits() -> int:
-            nonlocal emit_futs
-            done = sum(ray.get(emit_futs))
-            emit_futs = []
-            return done
+    def _split(self, k: int, path: str, wm: int) -> list:
+        return submit_split_by_conv(path, self.parallelism, self.columns)
 
-        emitted = 0
-        for k in range(self.next_fragment, n_frag):
-            for j in range(k, min(k + prefetch, n_frag)):
-                if j not in split_refs:
-                    split_refs[j] = split.remote(
-                        fragment_paths[j], self.parallelism, self.columns
-                    )
-            refs = split_refs.pop(k)
-            meta_ref, shard_refs = refs[0], refs[1:]
-            futs = [
-                store.ingest.remote(shard, self.watermark)
-                for store, shard in zip(self.stores, shard_refs)
-            ]
-            meta = ray.get(meta_ref)
-            n_late = sum(ray.get(futs))
-            self.total_rows += meta["n_rows"]
-            self.total_late += n_late
-            self.watermark = max(self.watermark, meta["frag_max_ts"])
-            emit_futs.append(
-                atomic_emit.remote(
-                    self.out_dir, "emit", k, _EMIT_SORT,
-                    *[s.close.remote(self.watermark) for s in self.stores],
-                )
-            )
-            with open(manifest_path, "a") as f:
-                f.write(
-                    json.dumps(
-                        {
-                            "fragment": k,
-                            "path": os.path.basename(fragment_paths[k]),
-                            "rows": meta["n_rows"],
-                            "late_dropped": n_late,
-                            "watermark": self.watermark,
-                        }
-                    )
-                    + "\n"
-                )
-            self.next_fragment = k + 1
-            if self.checkpoint_dir and self.next_fragment % self.checkpoint_every == 0:
-                # emissions for finished fragments must be durable before a
-                # checkpoint records them as done (resume skips them)
-                emitted += _drain_emits()
-                self._checkpoint()
-            elif len(emit_futs) >= 32:
-                emitted += _drain_emits()
-        if final_flush and self.watermark > _NEG_INF:
-            emit_futs.append(
-                atomic_emit.remote(
-                    self.out_dir, "emit", n_frag, _EMIT_SORT,
-                    *[s.close.remote(_FAR_FUTURE) for s in self.stores],
-                )
-            )
-        emitted += _drain_emits()
+    def _close(self, wm: int, idx: int):
+        return self._emit(idx, [s.close.remote(wm) for s in self.stores])
+
+    def _summary(self) -> dict:
         stats = ray.get([s.stats.remote() for s in self.stores])
-        with open(manifest_path, "a") as f:
-            f.write(
-                json.dumps(
-                    {
-                        "summary": True,
-                        "matches_emitted": emitted,
-                        "rows": self.total_rows,
-                        "late_dropped": self.total_late,
-                        "peak_pending_rows": max(
-                            (s["peak_pending_rows"] for s in stats), default=0
-                        ),
-                    }
-                )
-                + "\n"
-            )
-        return {
-            "rows": self.total_rows,
-            "late_dropped": self.total_late,
-            "fragments": self.next_fragment,
-            "matches_emitted": emitted,
-        }
-
-    def result_dataset(self):
-        import ray.data as rd
-
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith("emit-") and f.endswith(".parquet")
-        )
-        if not files:
-            return rd.from_arrow(
-                pa.table({k: pa.array([], type=t) for k, t in _EMIT_SCHEMA.items()})
-            )
-        return rd.read_parquet(files)
-
-    def shutdown(self) -> None:
-        for s in self.stores:
-            ray.kill(s)
-        self.stores = []
+        return {"peak_pending_rows": max(
+            (s["peak_pending_rows"] for s in stats), default=0)}

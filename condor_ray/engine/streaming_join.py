@@ -1,56 +1,40 @@
-"""Streaming stateful stream-stream join driver.
+"""Streaming stateful stream-stream join.
 
 Replays TWO fragment streams (turns, tool calls) through the same
-hash(conv_id) % P partition space into ``JoinStateStore`` actors.  The
-combined watermark is ``min(max-ts-seen per stream)`` (Flink two-input
-operator semantics); emit cycles run after every fragment and write atomic
-``join-f{k}.parquet`` files (exactly-once, same recipe as the synopsis
-engine).  Buffer state purges to the join bound behind the watermark.
+hash(conv_id) % P partition space into ``JoinStateStore`` actors.  They
+are interleaved by fragment index into one schedule, and their combined
+watermark is ``min(max-ts-seen per stream)`` (Flink two-input
+operator semantics).  Emit cycles run after every scheduled fragment and
+write ``join-f{k:05d}.parquet``; buffer state purges to the join bound
+behind the watermark.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
-from .emit import atomic_emit
 from ..state.join_store import JoinStateStore
-from ..stages.extract import stable_partition_order
-from .streaming import _NEG_INF, conv_partition_ids
+from .driver import FragmentStreamJob, interleave
+from .streaming import submit_split_by_conv
 
 
-def _split_by_conv(path: str, parallelism: int, columns: list[str] | None):
-    """Split one fragment into P shards by conv hash.  Called with
-    ``num_returns=1 + P`` so shards stay in the object store — actors pull
-    their shard directly, nothing round-trips through the driver."""
-    table = pq.read_table(path, columns=columns)
-    part, _, _ = conv_partition_ids(table["conv_id"], parallelism)
-    order = stable_partition_order(part, parallelism)
-    sorted_tbl = table.take(pa.array(order))
-    counts = np.bincount(part, minlength=parallelism)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    ts = table["ts"].cast(pa.int64())
-    frag_max = int(pa.compute.max(ts).as_py()) if table.num_rows else _NEG_INF
-    return (
-        frag_max,
-        *[sorted_tbl.slice(offsets[p], counts[p]) for p in range(parallelism)],
-    )
+class StreamingJoinJob(FragmentStreamJob):
+    inputs = 2  # 0: turns, 1: tool calls
+    emit_prefix = "join"
+    emit_schema = pa.schema([
+        ("conv_id", pa.string()), ("turn_idx", pa.int32()), ("turn_ts", pa.int64()),
+        ("call_id", pa.string()), ("tool", pa.string()), ("status", pa.string()),
+        ("call_ts", pa.int64()),
+    ])
+    emitted_key = "matches_emitted"
 
-
-class StreamingJoinJob:
     def __init__(self, parallelism: int = 4, bound_ms: int = 5_000, out_dir: str = "/tmp/join_out"):
         self.parallelism = parallelism
         self.bound_us = bound_ms * 1000
-        self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        self.stores = [
+        super().__init__(out_dir, [
             JoinStateStore.remote(p, self.bound_us) for p in range(parallelism)
-        ]
-        self.total_late = 0
+        ])
 
     def run(
         self,
@@ -62,95 +46,27 @@ class StreamingJoinJob:
         """``turn_columns``/``call_columns`` prune the fragment reads to the
         join's needs (the state stores only keep conv_id/turn_idx/ts/tool
         resp. conv_id/call_id/tool/status/ts — never read text at scale)."""
-        # arrival schedule: interleave both streams by fragment index
-        # (fragments are ts-ordered within each stream)
-        schedule: list[tuple[str, str]] = []
-        for i in range(max(len(turn_fragments), len(call_fragments))):
-            if i < len(turn_fragments):
-                schedule.append(("turn", turn_fragments[i]))
-            if i < len(call_fragments):
-                schedule.append(("call", call_fragments[i]))
-        wm = {"turn": _NEG_INF, "call": _NEG_INF}
-        split = ray.remote(num_returns=1 + self.parallelism)(_split_by_conv)
-        # split tasks are watermark-free: prefetch ahead of the sequential
-        # two-input watermark chain; emission runs as async Ray tasks
-        split_refs: dict[int, list] = {}
-        emit_futs: list = []
-        emitted = 0
-        prefetch = 4
-        n_sched = len(schedule)
-        for k, (side, path) in enumerate(schedule):
-            for j in range(k, min(k + prefetch, n_sched)):
-                if j not in split_refs:
-                    jc = turn_columns if schedule[j][0] == "turn" else call_columns
-                    split_refs[j] = split.remote(
-                        schedule[j][1], self.parallelism, jc
-                    )
-            refs = split_refs.pop(k)
-            fmax_ref, shard_refs = refs[0], refs[1:]
-            method = "ingest_turns" if side == "turn" else "ingest_calls"
-            combined_before = min(wm.values())
-            late_futs = [
-                getattr(s, method).remote(sh, combined_before)
-                for s, sh in zip(self.stores, shard_refs)
-            ]
-            frag_max = ray.get(fmax_ref)
-            self.total_late += sum(ray.get(late_futs))
-            wm[side] = max(wm[side], frag_max)
-            combined = min(wm.values())  # two-input watermark
-            if combined > _NEG_INF:
-                emit_futs.append(
-                    atomic_emit.remote(
-                        self.out_dir, "join", k, None,
-                        *[s.emit_matches.remote(combined) for s in self.stores],
-                    )
-                )
-            if len(emit_futs) >= 32:
-                emitted += sum(ray.get(emit_futs))
-                emit_futs = []
-        emit_futs.append(
-            atomic_emit.remote(
-                self.out_dir, "join", n_sched, None,
-                *[s.emit_matches.remote(2**62) for s in self.stores],
-            )
-        )  # end-of-stream flush
-        emitted += sum(ray.get(emit_futs))
+        paths, self._sides = interleave(turn_fragments, call_fragments)
+        self._columns = (turn_columns, call_columns)
+        res = self._run(paths)
+        return {"matches": res["matches_emitted"], "late_dropped": res["late_dropped"],
+                "max_buffered_rows": res["max_buffered_rows"]}
+
+    def _input_of(self, k: int) -> int:
+        return self._sides[k]
+
+    def _split(self, k: int, path: str, wm: int) -> list:
+        return submit_split_by_conv(path, self.parallelism, self._columns[self._sides[k]])
+
+    def _ingest(self, k: int, shards: list, wm: int) -> list:
+        return [
+            (s.ingest_calls if self._sides[k] else s.ingest_turns).remote(sh, wm)
+            for s, sh in zip(self.stores, shards)
+        ]
+
+    def _close(self, wm: int, idx: int):
+        return self._emit(idx, [s.emit_matches.remote(wm) for s in self.stores])
+
+    def _summary(self) -> dict:
         hwm = [b["max_buffered"] for b in ray.get([s.buffered.remote() for s in self.stores])]
-        return {
-            "matches": emitted,
-            "late_dropped": self.total_late,
-            "max_buffered_rows": max(hwm) if hwm else 0,
-        }
-
-    def result_dataset(self):
-        import ray.data as rd
-
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith("join-") and f.endswith(".parquet")
-        )
-        if not files:  # zero matches: atomic_emit wrote nothing and
-            # read_parquet([]) raises — return the empty typed result
-            # (same guard as the asof/synopsis/session engines)
-            import pyarrow as _pa
-
-            return rd.from_arrow(
-                _pa.schema(
-                    [
-                        ("conv_id", _pa.string()),
-                        ("turn_idx", _pa.int32()),
-                        ("turn_ts", _pa.int64()),
-                        ("call_id", _pa.string()),
-                        ("tool", _pa.string()),
-                        ("status", _pa.string()),
-                        ("call_ts", _pa.int64()),
-                    ]
-                ).empty_table()
-            )
-        return rd.read_parquet(files)
-
-    def shutdown(self) -> None:
-        for s in self.stores:
-            ray.kill(s)
-        self.stores = []
+        return {"max_buffered_rows": max(hwm, default=0)}

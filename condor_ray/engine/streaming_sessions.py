@@ -6,7 +6,8 @@ SessionWindow in the Scotty wrapper); Scotty's session slices merge on the
 key's gap.  Ray-native design (SURVEY §2.6): sessions are keyed by
 conversation, and the streaming engine already routes each conv_id to exactly
 one partition actor — so session state is conv-local, merges never cross
-actors, and the window-close cycle is a per-actor sweep:
+actors, and the window-close cycle is a per-actor sweep (the stream loop is
+``driver.py``'s):
 
 - **State**: per conv, a sorted list of open sessions
   ``[first_ts, last_ts, synopsis, n_rows]``.  A new row either extends a
@@ -16,12 +17,9 @@ actors, and the window-close cycle is a per-actor sweep:
   can extend it anymore: any such element would be late).  Sessions of one
   conv close in start order, so the per-conv ``session_idx`` ordinal is a
   plain counter in the actor.
-- **Late rule**: a row is late iff ``ts + gap <= carry-in watermark`` (the
-  session it could have joined is already closed); late rows are dropped and
-  counted, like the sliced engine.
-- **Exactly-once / lineage / checkpoint**: identical mechanics to
-  StreamingSynopsisJob — atomic per-fragment emission files, a JSONL
-  manifest, snapshot/restore of actor state + driver cursor.
+- **Late rule**: applied at actor ingest.  A row is late iff
+  ``ts + gap <= carry-in watermark`` (the session it could have joined is
+  already closed); late rows are dropped and counted.
 
 Hot-key salting is structurally OFF here: sessions are keyed state, a conv
 must live on one actor (the mergeable engine can salt because its state is
@@ -31,23 +29,18 @@ keyed by (stratum, slice), not by conv).
 from __future__ import annotations
 
 import heapq
-import json
-import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
 from ..config import BuildConfiguration
-from ..stages.extract import KeyExtractor, stable_partition_order, ts_to_us
+from ..stages.extract import KeyExtractor, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.registry import make_synopsis
 from ..windows import SessionWindow
-from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
-from .emit import atomic_emit
-from .streaming import _NEG_INF, conv_partition_ids
+from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .streaming import submit_split_by_conv
 
 _EMPTY_SCHEMA = {
     "conv_id": pa.string(),
@@ -58,36 +51,6 @@ _EMPTY_SCHEMA = {
     "synopsis_type": pa.string(),
     "payload": pa.binary(),
 }
-
-
-def _partition_session_fragment(
-    path: str,
-    parallelism: int,
-    columns: list[str] | None,
-):
-    """Split one fragment into P shards by conv hash.  Watermark-free on
-    purpose so split tasks PREFETCH ahead of the sequential watermark chain;
-    the late rule (ts + gap <= carry-in watermark: the session the row could
-    have joined is already closed) is applied in the state actors at ingest,
-    where the processing-turn watermark is known."""
-    table = pq.read_table(path, columns=columns)
-    n = table.num_rows
-    ts = ts_to_us(table["ts"])
-    frag_max = int(ts.max()) if n else _NEG_INF
-    frag_min = int(ts.min()) if n else 2**62
-
-    part, _, _ = conv_partition_ids(table["conv_id"], parallelism)
-    order = stable_partition_order(part, parallelism)
-    sorted_tbl = table.take(pa.array(order))
-    counts = np.bincount(part, minlength=parallelism)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    shards = [sorted_tbl.slice(offsets[p], counts[p]) for p in range(parallelism)]
-    meta = {
-        "n_rows": n,
-        "frag_max_ts": frag_max,
-        "frag_min_ts": frag_min,
-    }
-    return (meta, *shards)
 
 
 _EMIT_SORT = [("conv_id", "ascending"), ("session_start", "ascending")]
@@ -303,10 +266,14 @@ class SessionStateStore:
         heapq.heapify(self._expiry)
 
 
-class StreamingSessionJob:
-    """Micro-batch session-window job over ts-ordered Parquet fragments with
-    watermarks, exactly-once emission, and checkpoint/resume (same lineage
-    mechanics as StreamingSynopsisJob)."""
+class StreamingSessionJob(FragmentStreamJob):
+    """Session windows per conversation: P ``SessionStateStore`` actors
+    gap-merge each conv's sessions, and a close cycle emits the sessions the
+    watermark has passed."""
+
+    emit_sort = _EMIT_SORT
+    emit_schema = pa.schema(list(_EMPTY_SCHEMA.items()))
+    emitted_key = "sessions_emitted"
 
     def __init__(
         self,
@@ -325,189 +292,26 @@ class StreamingSessionJob:
         self.config = config
         self.gap_us = config.windows[0].gap_us
         self.parallelism = config.parallelism
-        self.out_dir = out_dir
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
         # prune the fragment read to what ingest touches (the text column
-        # usually dominates bytes); same derivation as StreamingPatternJob
+        # usually dominates bytes)
         need = {"conv_id", "ts", config.key.field}
         self.columns = sorted(need) if columns is None else columns
-        os.makedirs(out_dir, exist_ok=True)
-        if checkpoint_dir:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-        self.stores = [
-            SessionStateStore.remote(p, config, self.gap_us)
-            for p in range(self.parallelism)
-        ]
-        self.watermark = _NEG_INF
-        self.next_fragment = 0
-        self.total_late = 0
-        self.total_rows = 0
-
-    def _checkpoint(self) -> None:
-        if not self.checkpoint_dir:
-            return
-        import shutil
-
-        snaps = ray.get([s.snapshot.remote() for s in self.stores])
-        tmp = os.path.join(self.checkpoint_dir, f".tmp-ckpt-{self.next_fragment:05d}")
-        final = os.path.join(self.checkpoint_dir, f"ckpt-{self.next_fragment:05d}")
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        for p, blob in enumerate(snaps):
-            with open(os.path.join(tmp, f"part-{p:04d}.bin"), "wb") as f:
-                f.write(blob)
-        meta = {
-            "next_fragment": self.next_fragment,
-            "watermark": self.watermark,
-            "total_late": self.total_late,
-            "total_rows": self.total_rows,
-            "parallelism": self.parallelism,
-        }
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump(meta, f)
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        prune_checkpoints(self.checkpoint_dir)
-
-    def resume(self) -> bool:
-        if not self.checkpoint_dir:
-            return False
-        path = latest_checkpoint(self.checkpoint_dir)
-        if path is None:
-            return False
-        with open(os.path.join(path, "meta.json")) as f:
-            meta = json.load(f)
-        if meta["parallelism"] != self.parallelism:
-            raise ValueError("cannot resume with a different parallelism")
-        futs = []
-        for p, store in enumerate(self.stores):
-            with open(os.path.join(path, f"part-{p:04d}.bin"), "rb") as f:
-                futs.append(store.restore.remote(f.read()))
-        ray.get(futs)
-        self.next_fragment = meta["next_fragment"]
-        self.watermark = meta["watermark"]
-        self.total_late = meta["total_late"]
-        self.total_rows = meta["total_rows"]
-        truncate_manifest(self.out_dir, self.next_fragment)
-        return True
+        super().__init__(
+            out_dir,
+            [SessionStateStore.remote(p, config, self.gap_us)
+             for p in range(self.parallelism)],
+            checkpoint_dir, checkpoint_every,
+        )
 
     def run(self, fragment_paths: list[str], resume: bool = False,
-            final_flush: bool = True, prefetch: int = 4) -> dict:
-        if resume:
-            self.resume()
-        manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
-        split = ray.remote(num_returns=1 + self.parallelism)(
-            _partition_session_fragment
-        )
-        n_frag = len(fragment_paths)
-        # split tasks prefetch ahead of the sequential watermark chain (they
-        # are watermark-free); emission runs as async Ray tasks — the driver
-        # loop only sequences ingest -> close
-        split_refs: dict[int, list] = {}
-        emit_futs: list = []
+            final_flush: bool = True) -> dict:
+        return self._run(fragment_paths, resume, final_flush)
 
-        def _drain_emits() -> int:
-            nonlocal emit_futs
-            done = sum(ray.get(emit_futs))
-            emit_futs = []
-            return done
+    def _split(self, k: int, path: str, wm: int) -> list:
+        return submit_split_by_conv(path, self.parallelism, self.columns)
 
-        emitted = 0
-        for k in range(self.next_fragment, n_frag):
-            for j in range(k, min(k + prefetch, n_frag)):
-                if j not in split_refs:
-                    split_refs[j] = split.remote(
-                        fragment_paths[j], self.parallelism, self.columns
-                    )
-            refs = split_refs.pop(k)
-            meta_ref, shard_refs = refs[0], refs[1:]
-            futs = [
-                store.ingest.remote(shard, self.watermark)
-                for store, shard in zip(self.stores, shard_refs)
-            ]
-            meta = ray.get(meta_ref)
-            n_late = sum(ray.get(futs))
-            self.total_rows += meta["n_rows"]
-            self.total_late += n_late
-            self.watermark = max(self.watermark, meta["frag_max_ts"])
-            emit_futs.append(
-                atomic_emit.remote(
-                    self.out_dir, "emit", k, _EMIT_SORT,
-                    *[
-                        s.close_sessions.remote(self.watermark)
-                        for s in self.stores
-                    ],
-                )
-            )
-            with open(manifest_path, "a") as f:
-                f.write(
-                    json.dumps(
-                        {
-                            "fragment": k,
-                            "path": os.path.basename(fragment_paths[k]),
-                            "rows": meta["n_rows"],
-                            "late_dropped": n_late,
-                            "watermark": self.watermark,
-                        }
-                    )
-                    + "\n"
-                )
-            self.next_fragment = k + 1
-            if self.checkpoint_dir and self.next_fragment % self.checkpoint_every == 0:
-                # emissions for finished fragments must be durable before a
-                # checkpoint records them as done (resume skips them)
-                emitted += _drain_emits()
-                self._checkpoint()
-            elif len(emit_futs) >= 32:
-                emitted += _drain_emits()
-        if final_flush and self.watermark > _NEG_INF:
-            # end-of-input close with a LOCAL watermark: mutating
-            # self.watermark here would make a continuation run() late-drop
-            # rows up to gap+1 us behind the true watermark
-            flush_wm = self.watermark + self.gap_us + 1
-            emit_futs.append(
-                atomic_emit.remote(
-                    self.out_dir, "emit", n_frag, _EMIT_SORT,
-                    *[
-                        s.close_sessions.remote(flush_wm)
-                        for s in self.stores
-                    ],
-                )
-            )
-        emitted += _drain_emits()
-        with open(manifest_path, "a") as f:
-            f.write(
-                json.dumps(
-                    {"summary": True, "sessions_emitted": emitted,
-                     "rows": self.total_rows, "late_dropped": self.total_late}
-                )
-                + "\n"
-            )
-        return {
-            "rows": self.total_rows,
-            "late_dropped": self.total_late,
-            "fragments": self.next_fragment,
-            "sessions_emitted": emitted,
-        }
+    def _close(self, wm: int, idx: int):
+        return self._emit(idx, [s.close_sessions.remote(wm) for s in self.stores])
 
-    def result_dataset(self):
-        import ray.data as rd
-
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith("emit-") and f.endswith(".parquet")
-        )
-        if not files:
-            return rd.from_arrow(
-                pa.table({k: pa.array([], type=t) for k, t in _EMPTY_SCHEMA.items()})
-            )
-        return rd.read_parquet(files)
-
-    def shutdown(self) -> None:
-        for s in self.stores:
-            ray.kill(s)
-        self.stores = []
+    def _flush_wm(self) -> int:
+        return self.watermark + self.gap_us + 1

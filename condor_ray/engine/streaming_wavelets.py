@@ -16,9 +16,10 @@ sequential, exactly like the reference's parallelism-1 divide step.  Each
 split task emits one shard per builder actor; actor mailbox order from the
 sequential submission preserves per-(window, p) append order.
 
-Close cycle: window closes when watermark >= window end; the driver collects
-the P sub-wavelets, assembles the manager, and writes the emission file
-atomically (exactly-once, same mechanics as the mergeable engine).
+Close cycle: a window closes when watermark >= window end.  Each builder
+pops its closed sub-wavelets, and one task assembles the managers and writes
+the emission file, off the driver thread.  The per-window ordinal counters
+live on the job, so a later ``run()`` continues the stream.
 
 Per-row ordering invariant: within a fragment rows are taken in
 (ts, conv_id, turn_idx) order, nulls last — ``ordered.turn_order``, the
@@ -29,7 +30,6 @@ stream the streaming managers are bit-identical to the batch
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -39,11 +39,11 @@ import ray
 
 from ..config import KeySpec
 from ..stages.extract import KeyExtractor, ts_to_us
-from ..synopses.base import Synopsis
 from ..synopses.wavelets import DistributedWaveletsManager, WaveletSynopsis
 from ..windows import TumblingWindow
+from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .emit import write_atomic
 from .ordered import turn_order
-from .streaming import _NEG_INF
 
 
 def _split_wavelet_fragment(
@@ -146,6 +146,32 @@ def _split_wavelet_fragment(
     return (meta, new_counters, *shards)
 
 
+_split_wavelet_task = ray.remote(_split_wavelet_fragment)
+
+
+@ray.remote
+def _close_wavelet_windows(emit_path: str, size_us: int, size: int, *maps) -> int:
+    """Assemble one DistributedWaveletsManager per closed window from the
+    builders' sub-wavelets (``collect_below`` maps, one per builder) and
+    write them atomically.  Returns the number of windows emitted."""
+    wids = sorted({w for m in maps for w in m})
+    if not wids:
+        return 0
+    # a builder without the window contributes an empty sub-wavelet (a fresh
+    # bytes object each: pickle would memoize a shared one)
+    parts = [[m.get(w) or (WaveletSynopsis(size).to_bytes(), 0) for m in maps]
+             for w in wids]
+    nr = [sum(n for _, n in p) for p in parts]
+    payloads = [DistributedWaveletsManager.payload(p) for p in parts]
+    starts = np.asarray(wids, dtype=np.int64) * size_us
+    return write_atomic(emit_path, pa.table({
+        "window_start": pa.array(starts, type=pa.int64()),
+        "window_end": pa.array(starts + size_us, type=pa.int64()),
+        "n_rows": pa.array(nr, type=pa.int64()),
+        "payload": pa.array(payloads, type=pa.binary()),
+    }))
+
+
 @ray.remote(num_cpus=0.5)
 class WaveletBuilderActor:
     """Keyed builder p: one WaveletSynopsis per open window, fed its
@@ -192,9 +218,15 @@ class WaveletBuilderActor:
         return out
 
 
-class StreamingWaveletJob:
+class StreamingWaveletJob(FragmentStreamJob):
     """Streaming wavelet job: sequential order-and-index chain -> P builder
     actors -> watermark-closed DistributedWaveletsManager emission."""
+
+    late_at_ingest = False
+    emit_schema = pa.schema([
+        ("window_start", pa.int64()), ("window_end", pa.int64()),
+        ("n_rows", pa.int64()), ("payload", pa.binary()),
+    ])
 
     def __init__(
         self,
@@ -212,138 +244,31 @@ class StreamingWaveletJob:
         self.key = key or KeySpec("turn_idx", "value")
         self.columns = columns
         self.mini_batch = mini_batch
-        self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        self.builders = [
+        super().__init__(out_dir, [
             WaveletBuilderActor.remote(p, size) for p in range(parallelism)
-        ]
-        self.watermark = _NEG_INF
-        self.closed_through = _NEG_INF
-        self.total_rows = 0
-        self.total_late = 0
-
-    def _close(self, fragment_idx: int, wm: int | None = None) -> int:
-        size_us = self.window.size_us
-        if wm is None:
-            wm = self.watermark
-        if wm == _NEG_INF:
-            return 0
-        close_until = wm // size_us  # windows with end <= wm
-        # pop every held window id < close_until from each builder
-        maps = ray.get(
-            [b.collect_below.remote(close_until) for b in self.builders]
-        )
-        self.closed_through = close_until
-        all_wids = sorted({w for m in maps for w in m})
-        if not all_wids:
-            return 0
-        ws, we, nr, payloads = [], [], [], []
-        for w in all_wids:
-            mgr = DistributedWaveletsManager(0, None)
-            n = 0
-            for p in range(self.parallelism):
-                entry = maps[p].get(w)
-                if entry is None:
-                    mgr.add_synopsis(WaveletSynopsis(self.size))
-                else:
-                    mgr.add_synopsis(Synopsis.from_bytes(entry[0]))
-                    n += entry[1]
-            ws.append(w * size_us)
-            we.append(w * size_us + size_us)
-            nr.append(n)
-            payloads.append(mgr.to_bytes())
-        out = pa.table(
-            {
-                "window_start": pa.array(ws, type=pa.int64()),
-                "window_end": pa.array(we, type=pa.int64()),
-                "n_rows": pa.array(nr, type=pa.int64()),
-                "payload": pa.array(payloads, type=pa.binary()),
-            }
-        )
-        emit_path = os.path.join(self.out_dir, f"emit-f{fragment_idx:05d}.parquet")
-        tmp = emit_path + f".tmp-{os.getpid()}"
-        pq.write_table(out, tmp)
-        os.replace(tmp, emit_path)
-        return out.num_rows
+        ])
+        # per-window ordinal counters: each split takes its predecessor's
+        # output, so the global ordering is a Ray dependency chain
+        self.counters = ray.put({})
 
     def run(self, fragment_paths: list[str], final_flush: bool = True) -> dict:
-        manifest_path = os.path.join(self.out_dir, "manifest.jsonl")
-        split = ray.remote(num_returns=2 + self.parallelism)(
-            _split_wavelet_fragment
+        return self._run(fragment_paths, final_flush=final_flush, lookahead=1)
+
+    def _split(self, k: int, path: str, wm: int) -> list:
+        meta, self.counters, *shards = _split_wavelet_task.options(
+            num_returns=2 + self.parallelism
+        ).remote(
+            path, self.counters, self.parallelism, self.window.size_us, wm,
+            self.key, self.columns, self.mini_batch,
         )
-        counters_ref = ray.put({})
-        size_us = self.window.size_us
-        emitted = 0
-        # submit the whole chain up front — splits pipeline behind the
-        # sequential counter dependency, builders ingest as shards arrive
-        pending = []
-        wm = self.watermark
-        metas = []
-        for k, path in enumerate(fragment_paths):
-            refs = split.remote(
-                path, counters_ref, self.parallelism, size_us, wm, self.key,
-                self.columns, self.mini_batch,
-            )
-            meta_ref, counters_ref, shard_refs = refs[0], refs[1], refs[2:]
-            ing = [
-                b.ingest.remote(s) for b, s in zip(self.builders, shard_refs)
-            ]
-            # NOTE: the carry-in watermark for the late rule is only known
-            # after the previous meta resolves; resolve sequentially
-            meta = ray.get(meta_ref)
-            ray.get(ing)
-            self.total_rows += meta["n_rows"]
-            self.total_late += meta["n_late"]
-            self.watermark = max(self.watermark, meta["frag_max_ts"])
-            wm = self.watermark
-            emitted += self._close(k)
-            with open(manifest_path, "a") as f:
-                f.write(
-                    json.dumps(
-                        {
-                            "fragment": k,
-                            "path": os.path.basename(path),
-                            "rows": meta["n_rows"],
-                            "late_dropped": meta["n_late"],
-                            "watermark": self.watermark,
-                        }
-                    )
-                    + "\n"
-                )
-        if final_flush and self.watermark > _NEG_INF:
-            # local flush horizon only — mutating self.watermark would make
-            # a continuation run() late-drop a full window span of rows
-            emitted += self._close(
-                len(fragment_paths), wm=self.watermark + size_us + 1
-            )
-        return {
-            "rows": self.total_rows,
-            "late_dropped": self.total_late,
-            "windows_emitted": emitted,
-        }
+        return [meta, *shards]
 
-    def result_dataset(self):
-        import ray.data as rd
-
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith("emit-") and f.endswith(".parquet")
+    def _close(self, wm: int, idx: int):
+        maps = [b.collect_below.remote(wm // self.window.size_us) for b in self.stores]
+        return _close_wavelet_windows.remote(
+            os.path.join(self.out_dir, f"emit-f{idx:05d}.parquet"),
+            self.window.size_us, self.size, *maps,
         )
-        if not files:
-            return rd.from_arrow(
-                pa.table(
-                    {
-                        "window_start": pa.array([], type=pa.int64()),
-                        "window_end": pa.array([], type=pa.int64()),
-                        "n_rows": pa.array([], type=pa.int64()),
-                        "payload": pa.array([], type=pa.binary()),
-                    }
-                )
-            )
-        return rd.read_parquet(files)
 
-    def shutdown(self) -> None:
-        for b in self.builders:
-            ray.kill(b)
-        self.builders = []
+    def _flush_wm(self) -> int:
+        return self.watermark + self.window.size_us + 1

@@ -92,8 +92,11 @@ class Synopsis:
         raise NotImplementedError
 
     def to_bytes(self) -> bytes:
+        return self._dumps(self.state_dict())
+
+    def _dumps(self, state: dict) -> bytes:
         return pickle.dumps(
-            (_SERDE_VERSION, type(self).__name__, self._ctor_args(), self.state_dict(),
+            (_SERDE_VERSION, type(self).__name__, self._ctor_args(), state,
              self.partition_value),
             protocol=pickle.HIGHEST_PROTOCOL,
         )

@@ -830,11 +830,23 @@ class DistributedWaveletsManager(NonMergeableSynopsisManager):
         return (0, None)
 
     def state_dict(self):
+        return self._state([w.to_bytes() for w in self.unified_synopses])
+
+    def _state(self, wavelets: list[bytes]) -> dict:
         return {
             "parallelism": self.parallelism,
             "elements_processed": self.elements_processed,
-            "wavelets": [w.to_bytes() for w in self.unified_synopses],
+            "wavelets": wavelets,
         }
+
+    @classmethod
+    def payload(cls, parts: list[tuple[bytes, int]]) -> bytes:
+        """``to_bytes()`` of a manager over already serialized sub-wavelets,
+        given as (bytes, element count) pairs; the bytes are relayed as
+        they are, never deserialized."""
+        mgr = cls(len(parts))
+        mgr.elements_processed = sum(n for _, n in parts)
+        return mgr._dumps(mgr._state([b for b, _ in parts]))
 
     def load_state(self, state):
         self.parallelism = state["parallelism"]

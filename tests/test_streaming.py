@@ -375,32 +375,40 @@ class TestPartitionFragmentEdgeCases:
         for shard in shards:
             assert set(shard.column_names) == expected
 
-    def test_close_every_respected_in_sequential_mode(
+    def test_sequential_pipelined_checkpointed_runs_agree(
         self, ray_session, tiny_fixture, tmp_path
     ):
-        """close_every must govern BOTH run modes: the sequential path
-        (forced by checkpointing) emits the same files as the pipelined
-        path for the same cadence."""
-        frags = transcript_fragments(tiny_fixture)[:4]
+        """Sequential, pipelined and checkpointed runs are one loop at
+        different lookaheads: they write byte-identical emit files and the
+        same manifest fragment lines."""
+        frags = transcript_fragments(tiny_fixture)
         cfg = BuildConfiguration(
             synopsis="CountMinSketch",
             params=(128, 3, 7),
-            windows=[TumblingWindow(W_MS)],
+            windows=[SlidingWindow(W_MS, W_MS // 2)],
             parallelism=2,
         )
         outs = {}
-        for mode, pipelined in (("seq", False), ("pipe", True)):
+        for mode, ckpt, pipelined in (
+            ("seq", None, False),
+            ("pipe", None, True),
+            ("ckpt", str(tmp_path / "ckpt-state"), None),
+        ):
             out = str(tmp_path / mode)
-            job = StreamingSynopsisJob(cfg, out, close_every=3)
+            job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
             job.run(frags, pipelined=pipelined)
             job.shutdown()
-            outs[mode] = sorted(
-                f for f in os.listdir(out) if f.startswith("emit-")
-            )
-        assert outs["seq"] == outs["pipe"]
-        # cadence 3 over 4 fragments + final flush: only f00002 / f00003 /
-        # final may close — f00000/f00001 must NOT have emitted
-        assert not any("f00000" in f or "f00001" in f for f in outs["seq"])
+            with open(os.path.join(out, "manifest.jsonl")) as f:
+                lines = [line for line in f if '"fragment"' in line]
+            emits = {
+                f: open(os.path.join(out, f), "rb").read()
+                for f in sorted(os.listdir(out)) if f.startswith("emit-")
+            }
+            outs[mode] = (emits, lines)
+        assert len(outs["seq"][0]) > 2 and len(outs["seq"][1]) == len(frags)
+        assert outs["pipe"] == outs["seq"]
+        assert outs["ckpt"] == outs["seq"]
+        assert sorted(os.listdir(tmp_path / "ckpt-state")) == ["ckpt-00004", "ckpt-00006"]
 
 
 class TestFlushKeepsWatermark:

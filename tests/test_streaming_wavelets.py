@@ -244,3 +244,24 @@ class TestMiniBatchReorder:
         assert self._reconstruct(res[2:], 2) == list(
             np.arange(200, dtype=float)
         )
+
+
+def test_manager_payload_relays_sub_wavelet_bytes():
+    """The streaming close assembles each manager from the builders' bytes:
+    the payload equals to_bytes() of the manager built from the synopses,
+    an empty sub-wavelet (a builder without the window) included."""
+    from condor_ray.synopses.base import Synopsis
+    from condor_ray.synopses.wavelets import DistributedWaveletsManager, WaveletSynopsis
+
+    rng = np.random.default_rng(3)
+    syns = []
+    for n in (500, 0, 37):
+        s = WaveletSynopsis(64)
+        if n:
+            s.update_batch(rng.normal(size=n))
+        syns.append(s)
+    mgr = DistributedWaveletsManager(0, None)
+    for s in syns:
+        mgr.add_synopsis(Synopsis.from_bytes(s.to_bytes()))
+    parts = [(s.to_bytes(), s.stream_element_counter) for s in syns]
+    assert DistributedWaveletsManager.payload(parts) == mgr.to_bytes()
