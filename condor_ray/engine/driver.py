@@ -32,9 +32,11 @@ The driver owns the rest:
   watermark comes from the footer statistics (``fragment_ts_stats``), which
   give the same maxima.  A checkpointed run must not run ahead: a snapshot
   would hold later fragments.
-- **Sink**: close cycles are async tasks that write
-  ``{prefix}-f{k:05d}.parquet`` atomically, so a replayed fragment rewrites
-  byte-identical files.  Emits drain every 32 and before each checkpoint.
+- **Sink**: close cycles are async tasks that write ``emit_path(k)``
+  (``{prefix}-f{k:05d}.parquet``) atomically, so a replayed fragment rewrites
+  byte-identical files.  Emits drain every 32 and before each checkpoint;
+  ``last_emits`` lists the files the last ``run()`` wrote (its closes that
+  emitted rows), in close order.
 - **Manifest**: ``manifest.jsonl`` gets one line per fragment
   ``{fragment, path, rows, late_dropped, watermark}`` and, at the end of
   every ``run()``, a summary line; ``run()`` returns its fields plus
@@ -139,13 +141,6 @@ def interleave(*streams: list[str]) -> tuple[list[str], list[int]]:
     return [p for p, _ in pairs], [s for _, s in pairs]
 
 
-def _drain(refs: list) -> int:
-    """Wait for the outstanding emits (None: a close with nothing to emit)."""
-    n = sum(ray.get([r for r in refs if r is not None]))
-    refs.clear()
-    return n
-
-
 class FragmentStreamJob:
     """Base of the streaming engines; see the module docstring."""
 
@@ -173,6 +168,11 @@ class FragmentStreamJob:
         self.total_rows = 0
         self.total_late = 0
         self.flushed = False
+        self.last_emits: list[str] = []
+
+    def emit_path(self, idx: int) -> str:
+        """The file close cycle ``idx`` writes."""
+        return os.path.join(self.out_dir, f"{self.emit_prefix}-f{idx:05d}.parquet")
 
     # -- engine hooks (see the module docstring) ----------------------------
     def _ingest(self, k: int, shards: list, wm: int) -> list:
@@ -189,7 +189,7 @@ class FragmentStreamJob:
         return 0
 
     def _emit(self, idx: int, tables: list):
-        return atomic_emit.remote(self.out_dir, self.emit_prefix, idx, self.emit_sort, *tables)
+        return atomic_emit.remote(self.emit_path(idx), self.emit_sort, *tables)
 
     # -- the loop ------------------------------------------------------------
     def _run(self, paths: list[str], resume: bool = False, final_flush: bool = True,
@@ -207,8 +207,9 @@ class FragmentStreamJob:
             carry_in = _footer_watermarks(paths, base, self.watermark)
         manifest = os.path.join(self.out_dir, "manifest.jsonl")
         inflight: dict[int, list] = {}
-        emits: list = []
+        emits: list = []  # (close idx, count ref or None)
         emitted = 0
+        self.last_emits = []
         for k in range(base, n):
             for i in range(k, min(k + lookahead, n)):
                 if i not in inflight:
@@ -229,7 +230,7 @@ class FragmentStreamJob:
             self._input_wm[s] = max(self._input_wm[s], meta["frag_max_ts"])
             self.watermark = min(self._input_wm)
             if self.watermark > NEG_INF:
-                emits.append(self._close(self.watermark, k))
+                emits.append((k, self._close(self.watermark, k)))
             self._log(manifest, {
                 "fragment": k, "path": os.path.basename(paths[k]),
                 "rows": meta["n_rows"], "late_dropped": late,
@@ -237,21 +238,30 @@ class FragmentStreamJob:
             })
             self.next_fragment = k + 1
             if self.checkpoint_dir and self.next_fragment % self.checkpoint_every == 0:
-                emitted += _drain(emits)
+                emitted += self._drain(emits)
                 self._checkpoint()
             elif len(emits) >= _DRAIN_EVERY:
-                emitted += _drain(emits)
+                emitted += self._drain(emits)
         if final_flush and max(self._input_wm) > NEG_INF:
             # a local horizon: self.watermark stays the true max-seen ts
-            emits.append(self._close(self._flush_wm(), n))
+            emits.append((n, self._close(self._flush_wm(), n)))
             self.flushed = True
-        emitted += _drain(emits)
+        emitted += self._drain(emits)
         summary = {"summary": True, self.emitted_key: emitted,
                    "rows": self.total_rows, "late_dropped": self.total_late,
                    **self._summary()}
         self._log(manifest, summary)
         del summary["summary"]
         return {**summary, "fragments": self.next_fragment}
+
+    def _drain(self, emits: list) -> int:
+        """Wait for the outstanding ``(idx, ref)`` emits (ref None: a close
+        with nothing to emit) and record the files they wrote."""
+        live = [(i, r) for i, r in emits if r is not None]
+        counts = ray.get([r for _, r in live])
+        self.last_emits += [self.emit_path(i) for (i, _), c in zip(live, counts) if c]
+        emits.clear()
+        return sum(counts)
 
     @staticmethod
     def _log(path: str, record: dict) -> None:

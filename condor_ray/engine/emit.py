@@ -23,12 +23,11 @@ def write_atomic(path: str, table: pa.Table) -> int:
 
 
 @ray.remote
-def atomic_emit(out_dir: str, prefix: str, idx: int,
-                sort_keys: list[tuple[str, str]] | None, *tables) -> int:
+def atomic_emit(path: str, sort_keys: list[tuple[str, str]] | None, *tables) -> int:
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return 0
     out = pa.concat_tables(tables)
     if sort_keys:
         out = out.sort_by(sort_keys)
-    return write_atomic(os.path.join(out_dir, f"{prefix}-f{idx:05d}.parquet"), out)
+    return write_atomic(path, out)

@@ -12,10 +12,11 @@ Ray-Data-first version: the ordering invariant is made EXPLICIT instead of
 relying on arrival order — within each window, rows are sorted by
 ``(ts, conv_id, turn_idx)`` (the stable per-turn order of the BASELINE
 per-row invariant), then round-robin split into P wavelets.  Windows build in
-parallel via ``groupby(window).map_groups``; parallelism WITHIN a window
-follows the reference's index contract so point/range queries agree with a
-sequential build.  FiFo / biased samplers (timestamped path) reuse the
-mergeable engine since their merge handles ordering by timestamp.
+parallel, one fused task per ``window_id % n_parts`` partition; the
+round-robin split follows the reference's index contract so point/range
+queries agree with a sequential build.  FiFo / biased samplers (timestamped
+path) reuse the mergeable engine since their merge handles ordering by
+timestamp.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from ..config import KeySpec
 from ..runtime import cluster_cpus
 from ..stages.extract import KeyExtractor, stable_partition_order, ts_to_us
-from ..synopses.base import Synopsis
 from ..synopses.wavelets import DistributedWaveletsManager, WaveletSynopsis
 from ..windows import TumblingWindow
 from .driver import _ts_stats_task
@@ -97,6 +98,10 @@ def _shard_wavelet_fragment(
     )
 
 
+_shard_block_task = ray.remote(_shard_wavelet_block)
+_shard_fragment_task = ray.remote(_shard_wavelet_fragment)
+
+
 def build_windowed_wavelets_from_fragments(
     fragment_paths: list[str],
     window: TumblingWindow,
@@ -122,39 +127,39 @@ def build_windowed_wavelets_from_fragments(
     single-shot path held ~26 GB of shards and spilled.  ``None`` forces the
     single-shot path.  Wave order is time order; out-of-order fragment lists
     degrade gracefully (threshold stops advancing) but stay correct."""
-    import ray
-    import ray.data as rd
-
     key = key or KeySpec("text", "length")
     size_us = window.size_us
     n_parts = max(2, 2 * cluster_cpus())
-    shard = ray.remote(num_returns=n_parts)(_shard_wavelet_fragment)
     if wave_fragments == "auto":
         wave_fragments = 4 * cluster_cpus()
     if wave_fragments is not None and len(fragment_paths) > wave_fragments:
         return _build_wavelets_waved(
-            fragment_paths, shard, columns, n_parts, size_us, size,
+            fragment_paths, columns, n_parts, size_us, size,
             parallelism, key, int(wave_fragments),
         )
-    per_part: list[list] = [[] for _ in range(n_parts)]
-    for path in fragment_paths:
-        refs = shard.remote(path, columns, n_parts, size_us, key)
-        for q in range(n_parts):
-            per_part[q].append(refs[q])
-    build = ray.remote(_build_wavelet_partition)
+    shard = _shard_fragment_task.options(num_returns=n_parts)
+    return _build_partitions(
+        [shard.remote(path, columns, n_parts, size_us, key) for path in fragment_paths],
+        size_us, size, parallelism,
+    )
+
+
+def _build_partitions(shard_refs: list, size_us: int, size: int, parallelism: int):
+    """One fused build task per window partition over every shard task's
+    output for it (``shard_refs``: one ``n_parts``-tuple of refs per task)."""
+    import ray.data as rd
+
     out_refs = [
-        build.remote(size_us, size, parallelism, *per_part[q])
-        for q in range(n_parts)
-        if per_part[q]
+        _build_partition_task.remote(size_us, size, parallelism, *part)
+        for part in zip(*shard_refs)
     ]
     if not out_refs:
-        out_refs = [build.remote(size_us, size, parallelism)]
+        out_refs = [_build_partition_task.remote(size_us, size, parallelism)]
     return rd.from_arrow_refs(out_refs)
 
 
 def _build_wavelets_waved(
     paths: list[str],
-    shard,
     columns,
     n_parts: int,
     size_us: int,
@@ -168,7 +173,6 @@ def _build_wavelets_waved(
     chained task per partition that builds complete windows and carries open
     ones forward.  At most ~2 waves of shard outputs are in flight (the
     driver waits on wave i-1's builds before submitting wave i+1)."""
-    import ray
     import ray.data as rd
 
     stats = _ts_stats_task.options(num_cpus=0.25)
@@ -182,7 +186,8 @@ def _build_wavelets_waved(
     suffix_min = [2**62] * (len(paths) + 1)
     for i in range(len(paths) - 1, -1, -1):
         suffix_min[i] = min(frag_min[i], suffix_min[i + 1])
-    wave_build = ray.remote(num_returns=2)(_build_wavelet_wave)
+    shard = _shard_fragment_task.options(num_returns=n_parts)
+    wave_build = _build_wave_task.options(num_returns=2)
     carry: list = [None] * n_parts
     emit_refs: list = []
     prev_waves: list[list] = []
@@ -191,16 +196,11 @@ def _build_wavelets_waved(
         threshold_wid = (
             2**62 if hi >= len(paths) else suffix_min[hi] // size_us
         )
-        per_part: list[list] = [[] for _ in range(n_parts)]
-        for path in paths[lo:hi]:
-            refs = shard.remote(path, columns, n_parts, size_us, key)
-            for q in range(n_parts):
-                per_part[q].append(refs[q])
+        refs = [shard.remote(path, columns, n_parts, size_us, key) for path in paths[lo:hi]]
         this_wave = []
-        for q in range(n_parts):
+        for q, part in enumerate(zip(*refs)):
             out, carry[q] = wave_build.remote(
-                threshold_wid, size_us, size, parallelism,
-                carry[q], *per_part[q],
+                threshold_wid, size_us, size, parallelism, carry[q], *part,
             )
             emit_refs.append(out)
             this_wave.append(out)
@@ -287,6 +287,9 @@ def _build_wavelet_partition(
     return _emit_windows(pa.concat_tables(tables), size_us, size, parallelism)
 
 
+_build_partition_task = ray.remote(_build_wavelet_partition)
+
+
 def _build_wavelet_wave(
     threshold_wid: int,
     size_us: int,
@@ -313,160 +316,33 @@ def _build_wavelet_wave(
     return out, (keep.combine_chunks() if keep.num_rows else None)
 
 
+_build_wave_task = ray.remote(_build_wavelet_wave)
+
+
 def build_windowed_wavelets(
     ds,
     window: TumblingWindow,
     size: int = 1000,
     parallelism: int = 4,
     key: KeySpec | None = None,
-    intra_window_parallel: bool = True,
-    mode: str = "partition",
 ):
     """Dataset -> one DistributedWaveletsManager per tumbling window.
 
     Output: window_start, window_end (int64 us), n_rows, payload (manager).
 
-    ``mode="partition"`` (default): explicit task-based hash exchange —
-    every input block shards by ``window_id % n_parts`` (``num_returns``
-    fan-out straight through the object store), and one fused task per
-    partition sorts/builds/assembles ALL of its windows with a single
-    lexsort.  Rows cross the wire exactly once and never enter Ray Data's
-    sort-based groupby (whose range-sample + per-block sort + merge
-    machinery dominated the job once the C kernel made the tree build
-    cheap: 8->32 CPU efficiency fell to 0.43 through the global exchange).
-
-    ``mode="group"``: the Ray Data ``groupby(window_id)`` formulation.
-    ``intra_window_parallel=True`` there splits each window into P
-    round-robin substreams built in separate tasks — the path to keep for
-    EXTREME single-window skew, where one window outweighs whole
-    partitions.  All modes produce BIT-IDENTICAL managers (same
-    (ts, conv_id, turn_idx) order, same round-robin index contract)."""
+    An explicit task-based hash exchange: every input block shards by
+    ``window_id % n_parts`` (``num_returns`` fan-out straight through the
+    object store), and one fused task per partition sorts/builds/assembles
+    ALL of its windows with a single sort.  Rows cross the wire exactly once
+    and never enter Ray Data's sort-based groupby (whose range-sample +
+    per-block sort + merge machinery dominated the job once the C kernel
+    made the tree build cheap: 8->32 CPU efficiency fell to 0.43 through the
+    global exchange)."""
     key = key or KeySpec("text", "length")
-    size_us = window.size_us
-    extractor = KeyExtractor(key)
-
-    if mode == "partition":
-        import ray
-        import ray.data as rd
-
-        n_parts = max(2, 2 * cluster_cpus())
-        shard = ray.remote(num_returns=n_parts)(_shard_wavelet_block)
-        per_part: list[list] = [[] for _ in range(n_parts)]
-        for bundle in ds.iter_internal_ref_bundles():
-            for bref in bundle.block_refs:
-                refs = shard.remote(bref, n_parts, size_us, key)
-                for q in range(n_parts):
-                    per_part[q].append(refs[q])
-        build = ray.remote(_build_wavelet_partition)
-        out_refs = [
-            build.remote(size_us, size, parallelism, *per_part[q])
-            for q in range(n_parts)
-            if per_part[q]
-        ]
-        if not out_refs:
-            out_refs = [build.remote(size_us, size, parallelism)]
-        return rd.from_arrow_refs(out_refs)
-
-    def add_window(batch: pa.Table) -> pa.Table:
-        ts = ts_to_us(batch["ts"])
-        values = extractor(batch).astype(np.float64)
-        return pa.table(
-            {
-                "window_id": pa.array(ts // size_us, type=pa.int64()),
-                "ts": pa.array(ts, type=pa.int64()),
-                "conv_id": batch["conv_id"],
-                "turn_idx": batch["turn_idx"],
-                "value": pa.array(values, type=pa.float64()),
-            }
-        )
-
-    prepared = ds.map_batches(add_window, batch_format="pyarrow")
-
-    if not intra_window_parallel:
-
-        def build_window(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["ts", "conv_id", "turn_idx"], kind="mergesort")
-            values = g["value"].to_numpy()
-            mgr = DistributedWaveletsManager(0, None)
-            for p in range(parallelism):
-                w = WaveletSynopsis(size)
-                w.update_batch(np.ascontiguousarray(values[p::parallelism]))
-                mgr.add_synopsis(w)
-            wid = int(g["window_id"].iloc[0])
-            return pd.DataFrame(
-                {
-                    "window_start": [wid * size_us],
-                    "window_end": [wid * size_us + size_us],
-                    "n_rows": [len(values)],
-                    "payload": [mgr.to_bytes()],
-                }
-            )
-
-        return prepared.groupby("window_id").map_groups(
-            build_window, batch_format="pandas"
-        )
-
-    # Stage A (cheap): per window, establish the global stream order and cut
-    # it into P round-robin substreams — one output row per (window, p).
-    # Stage B (the compute-heavy tree build) then runs P tasks PER WINDOW
-    # instead of one, so a hot window no longer serializes on one core and
-    # the job scales with cores, not with window count.
-    def split_window(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "conv_id", "turn_idx"], kind="mergesort")
-        values = g["value"].to_numpy()
-        wid = int(g["window_id"].iloc[0])
-        return pd.DataFrame(
-            {
-                "window_id": np.full(parallelism, wid, dtype=np.int64),
-                "p": np.arange(parallelism, dtype=np.int64),
-                "values": [values[p::parallelism] for p in range(parallelism)],
-                "n_sub": [len(values[p::parallelism]) for p in range(parallelism)],
-            }
-        )
-
-    substreams = prepared.groupby("window_id").map_groups(
-        split_window, batch_format="pandas"
+    n_parts = max(2, 2 * cluster_cpus())
+    shard = _shard_block_task.options(num_returns=n_parts)
+    return _build_partitions(
+        [shard.remote(bref, n_parts, window.size_us, key)
+         for bundle in ds.iter_internal_ref_bundles() for bref in bundle.block_refs],
+        window.size_us, size, parallelism,
     )
-
-    def build_subs(df: pd.DataFrame) -> pd.DataFrame:
-        payloads = []
-        for vals in df["values"]:
-            w = WaveletSynopsis(size)
-            w.update_batch(np.asarray(vals, dtype=np.float64))
-            payloads.append(w.to_bytes())
-        return pd.DataFrame(
-            {
-                "window_id": df["window_id"].astype(np.int64).to_numpy(),
-                "p": df["p"].astype(np.int64).to_numpy(),
-                "n_sub": df["n_sub"].astype(np.int64).to_numpy(),
-                "payload": payloads,
-            }
-        )
-
-    # one row per (window, p) already — a block SPLIT (no sort exchange)
-    # spreads the sub-builds over 4 tasks per core; measured best at 4*ncpu
-    # blocks (1-row blocks paid more in block/repartition overhead than the
-    # straggler tail they removed)
-    import ray
-
-    built = substreams.repartition(4 * cluster_cpus()).map_batches(
-        build_subs, batch_format="pandas", batch_size=1
-    )
-
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("p")
-        mgr = DistributedWaveletsManager(0, None)
-        for b in g["payload"]:
-            mgr.add_synopsis(Synopsis.from_bytes(b))
-        wid = int(g["window_id"].iloc[0])
-        return pd.DataFrame(
-            {
-                "window_start": [wid * size_us],
-                "window_end": [wid * size_us + size_us],
-                "n_rows": [int(g["n_sub"].sum())],
-                "payload": [mgr.to_bytes()],
-            }
-        )
-
-    return built.groupby("window_id").map_groups(assemble, batch_format="pandas")
-

@@ -27,7 +27,6 @@ This module also holds the conv-hash routing every streaming splitter shares
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -434,9 +433,8 @@ class StreamingSynopsisJob(FragmentStreamJob):
             s.collect_closed_slices_snapshot.remote(needed, horizon)
             for s in self.stores
         ]
-        emit_path = os.path.join(self.out_dir, f"emit-f{idx:05d}.parquet")
         return _merge_and_emit.remote(
-            emit_path, emit_spec, self.config.synopsis, *table_refs
+            self.emit_path(idx), emit_spec, self.config.synopsis, *table_refs
         )
 
     def _flush_wm(self) -> int:

@@ -30,7 +30,6 @@ stream the streaming managers are bit-identical to the batch
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -266,8 +265,7 @@ class StreamingWaveletJob(FragmentStreamJob):
     def _close(self, wm: int, idx: int):
         maps = [b.collect_below.remote(wm // self.window.size_us) for b in self.stores]
         return _close_wavelet_windows.remote(
-            os.path.join(self.out_dir, f"emit-f{idx:05d}.parquet"),
-            self.window.size_us, self.size, *maps,
+            self.emit_path(idx), self.window.size_us, self.size, *maps,
         )
 
     def _flush_wm(self) -> int:

@@ -7,28 +7,32 @@ against the LATEST synopsis at its arrival, and queries arriving BEFORE the
 first synopsis buffer until one exists, then flush against it (:42-60).
 
 Ray-native shape: the micro-batch streaming job already has a natural cycle
-boundary (fragment ingest -> watermark advance -> window close/emit).  This
+boundary (fragment ingest -> watermark advance -> window close/emit).  An
 evaluator drives the job one fragment at a time and interleaves query
 arrivals at those boundaries:
 
   cycle k: ingest fragment k -> close windows due at the new watermark ->
-           update `latest` from the cycle's emissions -> flush any buffered
-           queries (first-synopsis flush) -> evaluate cycle-k arrivals
+           take in the windows that cycle emitted (the job's ``last_emits``)
+           -> flush buffered queries -> evaluate cycle-k arrivals
 
-Evaluation is driver-side vectorized (``query_fn`` over the key array) —
-the synopsis stream is tiny (one row per closed window); the heavy query
-fan-out path stays ``evaluate.queries.query_latest`` (broadcast +
-map_batches).  On bounded input the FINAL cycle's standing-query answers
-equal the batch ``queryLatest`` result — the driver-gate equivalence.
+``_StandingQuery`` owns that loop, the reading of each cycle's emit files,
+answering a frame against a synopsis and the typed empty result; the four
+evaluators keep only the reference's rules for taking in a window and for
+answering an arrival.  Evaluation is driver-side vectorized (``query_fn``
+over the key array) — the synopsis stream is tiny (one row per closed
+window); the heavy query fan-out path stays ``evaluate.queries.query_latest``
+(broadcast + map_batches).  On bounded input the FINAL cycle's
+standing-query answers equal the batch ``queryLatest`` result — the
+driver-gate equivalence.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..synopses.base import Synopsis
@@ -96,23 +100,6 @@ class _BoundedArchive:
         return self._payloads[self._head + i]
 
 
-def _flush_first_synopsis(cycle, buffered_frames, query_fn, payload, ws, we, results):
-    """First-synopsis flush shared by the timestamped evaluators: answer the
-    buffered queries that land inside the first archived window
-    (QueryTimestampedFunction.java:74-84); the rest are dropped by callers."""
-    synopsis = Synopsis.from_bytes(payload)
-    for q in buffered_frames:
-        ts = _ts_us(q["query_ts"])
-        hit = q[(ts >= ws) & (ts <= we)]
-        if len(hit):
-            out = hit.copy()
-            out["result"] = query_fn(synopsis, hit["query_key"].to_numpy())
-            out["window_start"] = ws
-            out["window_end"] = we
-            out.insert(0, "cycle", cycle)
-            results.append(out)
-
-
 def _ts_us(col) -> np.ndarray:
     """Epoch-microseconds from a query_ts column regardless of pandas'
     datetime64 unit (astype(int64) on a datetime64[ns] series yields
@@ -122,22 +109,134 @@ def _ts_us(col) -> np.ndarray:
     return col.to_numpy().astype(np.int64)
 
 
-def _new_emit_tables(out_dir: str, seen: set, columns: list[str]):
-    """Read this cycle's not-yet-seen emit files (shared by every
-    continuous evaluator); marks them seen and returns pyarrow tables."""
-    new = sorted(
-        f
-        for f in os.listdir(out_dir)
-        if f.startswith("emit-") and f.endswith(".parquet") and f not in seen
-    )
-    out = []
-    for f in new:
-        seen.add(f)
-        out.append(pq.read_table(os.path.join(out_dir, f), columns=columns))
-    return out
+_RESULT_DTYPES = {
+    "cycle": np.int64, "query_key": np.int64, "query_ts": np.int64,
+    "stratum": object, "result": np.float64,
+    "window_start": np.int64, "window_end": np.int64,
+}
 
 
-class ContinuousQueryLatestStratified:
+class _StandingQuery:
+    """The cycle loop shared by the four evaluators.  Subclasses supply
+    ``_take(cycle, ws, we, payload, stratum)`` (one emitted window, in
+    window_start order), ``_arrive(cycle, queries)`` and the columns of
+    their empty result.  ``results`` rows carry (cycle, query columns,
+    result, window_start, window_end)."""
+
+    stratified = False  # read the emit rows' stratum (else None)
+    result_columns: tuple[str, ...]
+
+    def __init__(self, job, query_fn):
+        self.job = job
+        self.query_fn = query_fn
+        self.results: list[pd.DataFrame] = []
+
+    def run(self, fragment_paths: list[str], query_arrivals) -> pd.DataFrame:
+        """``query_arrivals``: dict cycle->DataFrame(query_key, ...) or a
+        callable cycle->DataFrame (a STANDING query set passes the same
+        frame every cycle).  Cycle k runs after fragment k's close; cycle
+        ``len(fragment_paths)`` is the end-of-stream flush."""
+        get = query_arrivals if callable(query_arrivals) else query_arrivals.get
+        n = len(fragment_paths)
+        for k in range(n + 1):
+            self.job.run(fragment_paths[: k + 1], final_flush=k == n, pipelined=False)
+            for ws, we, payload, stratum in self._cycle_windows():
+                self._take(k, ws, we, payload, stratum)
+            self._arrive(k, get(k))
+        if not self.results:
+            return pd.DataFrame(
+                {c: pd.Series(dtype=_RESULT_DTYPES[c]) for c in self.result_columns}
+            )
+        return pd.concat(self.results, ignore_index=True)
+
+    def _cycle_windows(self):
+        """(ws, we, payload, stratum) of every window the job's last run
+        emitted, stably ordered by window_start."""
+        cols = ["window_start", "window_end", "payload"]
+        cols += ["stratum"] if self.stratified else []
+        paths = self.job.last_emits
+        if not paths:
+            return []
+        t = pa.concat_tables([pq.read_table(p, columns=cols) for p in paths])
+        t = t.take(np.argsort(t["window_start"].to_numpy(), kind="stable"))
+        strata = t["stratum"].to_pylist() if self.stratified else [None] * t.num_rows
+        return zip(t["window_start"].to_pylist(), t["window_end"].to_pylist(),
+                   t["payload"].to_pylist(), strata)
+
+    def _strata(self, queries: pd.DataFrame):
+        """(stratum, frame) groups of an arrival; one group under None when
+        unstratified.  Strata are normalized to str BEFORE any membership
+        test: emit tables store strata as strings, so a raw non-string
+        groupby key would buffer forever after the first flush."""
+        if not self.stratified:
+            return [(None, queries)]
+        return ((str(s), g) for s, g in queries.groupby("stratum", sort=False))
+
+    def _record(self, cycle: int, hit: pd.DataFrame, result, ws, we) -> None:
+        out = hit.copy()
+        out["result"] = result
+        out["window_start"] = ws
+        out["window_end"] = we
+        out.insert(0, "cycle", cycle)
+        self.results.append(out)
+
+    def _answer(self, cycle: int, queries: pd.DataFrame, payload: bytes,
+                ws: int, we: int) -> None:
+        """Answer every query against one synopsis."""
+        synopsis = Synopsis.from_bytes(payload)
+        result = self.query_fn(synopsis, queries["query_key"].to_numpy())
+        self._record(cycle, queries, result, ws, we)
+
+    def _answer_asof(self, cycle: int, queries: pd.DataFrame,
+                     archive: _BoundedArchive) -> None:
+        """Route each query to the floor window of ``archive`` and answer
+        the ones that window covers; the rest are dropped (:57-62)."""
+        starts, ends = archive.views()
+        idx, ok = asof_route(starts, ends, _ts_us(queries["query_ts"]))
+        if not ok.any():
+            return
+        hit, widx = queries[ok], idx[ok]
+        keys = hit["query_key"].to_numpy()
+        res = np.empty(len(hit), dtype=np.float64)
+        for w in np.unique(widx):
+            m = widx == w
+            res[m] = self.query_fn(Synopsis.from_bytes(archive.payload(int(w))), keys[m])
+        self._record(cycle, hit, res, starts[widx], ends[widx])
+
+
+class ContinuousQueryLatest(_StandingQuery):
+    """Standing queryLatest over a ``StreamingSynopsisJob``'s close cycles.
+
+    A window replaces ``latest`` only when it is strictly newer.  A query
+    answered from the buffer records the cycle it was FLUSHED in (the
+    first-synopsis cycle), like the reference's buffered elements being
+    processed on flush, and answers against that cycle's latest."""
+
+    result_columns = ("cycle", "query_key", "result", "window_start", "window_end")
+
+    def __init__(self, job, query_fn):
+        super().__init__(job, query_fn)
+        self.buffered: list[pd.DataFrame] = []
+        self.latest: tuple[bytes, int, int] | None = None
+
+    def _take(self, cycle, ws, we, payload, stratum) -> None:
+        if self.latest is None or ws > self.latest[1]:
+            self.latest = (payload, ws, we)
+
+    def _arrive(self, cycle: int, queries: pd.DataFrame | None) -> None:
+        if self.latest is not None:
+            for q in self.buffered:
+                self._answer(cycle, q, *self.latest)
+            self.buffered = []
+        if queries is None or len(queries) == 0:
+            return
+        if self.latest is None:
+            self.buffered.append(queries)
+        else:
+            self._answer(cycle, queries, *self.latest)
+
+
+class ContinuousQueryLatestStratified(_StandingQuery):
     """Standing stratified queryLatest over a stratified streaming job.
 
     Reference semantics (conn/.../evaluator/evaluation/
@@ -148,92 +247,82 @@ class ContinuousQueryLatestStratified:
     STRATUM and flush when that stratum's first synopsis arrives (:55-63,
     :74-84).  Query frames need ``query_key`` and ``stratum`` columns."""
 
+    stratified = True
+    result_columns = ("cycle", "query_key", "stratum", "result",
+                      "window_start", "window_end")
+
     def __init__(self, job, query_fn):
-        self.job = job
-        self.query_fn = query_fn
+        super().__init__(job, query_fn)
         self.latest: dict[str, tuple[bytes, int, int]] = {}
         self.buffered: dict[str, list[pd.DataFrame]] = {}
-        self.results: list[pd.DataFrame] = []
-        self._seen_emits: set[str] = set()
 
-    def _evaluate(
-        self, cycle: int, stratum: str, queries: pd.DataFrame
-    ) -> None:
-        payload, ws, we = self.latest[stratum]
-        synopsis = Synopsis.from_bytes(payload)
-        out = queries.copy()
-        out["result"] = self.query_fn(synopsis, queries["query_key"].to_numpy())
-        out["window_start"] = ws
-        out["window_end"] = we
-        out.insert(0, "cycle", cycle)
-        self.results.append(out)
-
-    def _refresh_latest(self, cycle: int) -> None:
-        rows: list[tuple[int, str, int, bytes]] = []
-        for t in _new_emit_tables(
-            self.job.out_dir, self._seen_emits,
-            ["stratum", "window_start", "window_end", "payload"],
-        ):
-            for i in range(t.num_rows):
-                rows.append(
-                    (
-                        int(t["window_start"][i].as_py()),
-                        t["stratum"][i].as_py(),
-                        int(t["window_end"][i].as_py()),
-                        t["payload"][i].as_py(),
-                    )
-                )
-        # arrival order == close (window_start) order in this job
-        for ws, stratum, we, payload in sorted(rows, key=lambda r: r[0]):
-            first = stratum not in self.latest
-            self.latest[stratum] = (payload, ws, we)
-            if first and stratum in self.buffered:
-                for q in self.buffered.pop(stratum):
-                    self._evaluate(cycle, stratum, q)
+    def _take(self, cycle, ws, we, payload, stratum) -> None:
+        first = stratum not in self.latest
+        self.latest[stratum] = (payload, ws, we)
+        if first:
+            for q in self.buffered.pop(stratum, []):
+                self._answer(cycle, q, payload, ws, we)
 
     def _arrive(self, cycle: int, queries: pd.DataFrame | None) -> None:
         if queries is None or len(queries) == 0:
             return
-        for stratum, g in queries.groupby("stratum", sort=False):
-            # normalize BEFORE the membership test (emit tables store
-            # strata as strings) — testing with the raw groupby key would
-            # buffer non-string strata forever after the first flush
-            stratum = str(stratum)
+        for stratum, g in self._strata(queries):
             if stratum in self.latest:
-                self._evaluate(cycle, stratum, g)
+                self._answer(cycle, g, *self.latest[stratum])
             else:
                 self.buffered.setdefault(stratum, []).append(g)
 
-    def run(self, fragment_paths: list[str], query_arrivals) -> pd.DataFrame:
-        """Same cycle contract as ``ContinuousQueryLatest.run``."""
-        get = (
-            query_arrivals
-            if callable(query_arrivals)
-            else lambda k: query_arrivals.get(k)
-        )
-        for k in range(len(fragment_paths)):
-            self.job.run(
-                fragment_paths[: k + 1], final_flush=False, pipelined=False
-            )
-            self._refresh_latest(k)
-            self._arrive(k, get(k))
-        self.job.run(fragment_paths, final_flush=True, pipelined=False)
-        self._refresh_latest(len(fragment_paths))
-        self._arrive(len(fragment_paths), get(len(fragment_paths)))
-        if not self.results:
-            return pd.DataFrame(
-                {"cycle": pd.Series(dtype=np.int64),
-                 "query_key": pd.Series(dtype=np.int64),
-                 "stratum": pd.Series(dtype=object),
-                 "result": pd.Series(dtype=np.float64),
-                 "window_start": pd.Series(dtype=np.int64),
-                 "window_end": pd.Series(dtype=np.int64)}
-            )
-        return pd.concat(self.results, ignore_index=True)
+
+class ContinuousQueryTimestampedStratified(_StandingQuery):
+    """Standing stratified queryTimestamped over a stratified streaming job.
+
+    Reference semantics (conn/.../evaluator/evaluation/
+    QueryStratifiedTimestampedFunction.java:30-96): one bounded
+    windowStart-ordered archive PER STRATUM (oldest evicted at
+    ``max_synopsis_count``, :76-79); a query floor-routes within its own
+    stratum's archive and answers only when the window covers its ts
+    (:45-55, silent drop otherwise); queries for strata with no synopsis
+    yet buffer per stratum, flushing against that stratum's FIRST synopsis
+    only for matching timestamps (:86-93) — the rest is lost.  Query frames
+    need ``query_key``, ``query_ts`` (event-time us) and ``stratum``."""
+
+    stratified = True
+    result_columns = ("cycle", "query_key", "query_ts", "stratum", "result",
+                      "window_start", "window_end")
+
+    def __init__(self, job, query_fn, max_synopsis_count: int = 1 << 30):
+        super().__init__(job, query_fn)
+        self.max_synopsis_count = max_synopsis_count
+        # stratum -> bounded windowStart-ordered archive
+        self.archive: dict[str | None, _BoundedArchive] = {}
+        self.buffered: dict[str | None, list[pd.DataFrame]] = {}
+
+    def _take(self, cycle, ws, we, payload, stratum) -> None:
+        arch = self.archive.get(stratum)
+        if arch is None:
+            arch = self.archive[stratum] = _BoundedArchive(self.max_synopsis_count)
+            # first-synopsis flush: only buffered queries inside this window
+            # are answered; the rest are lost (:64-66, :91-95)
+            for q in self.buffered.pop(stratum, []):
+                ts = _ts_us(q["query_ts"])
+                hit = q[(ts >= ws) & (ts <= we)]
+                if len(hit):
+                    self._answer(cycle, hit, payload, ws, we)
+        arch.insert(ws, we, payload)
+
+    def _arrive(self, cycle: int, queries: pd.DataFrame | None) -> None:
+        if queries is None or len(queries) == 0:
+            return
+        for stratum, g in self._strata(queries):
+            if stratum in self.archive:
+                self._answer_asof(cycle, g, self.archive[stratum])
+            else:
+                self.buffered.setdefault(stratum, []).append(g)
 
 
-class ContinuousQueryTimestamped:
-    """Standing queryTimestamped over a streaming job's close cycles.
+class ContinuousQueryTimestamped(ContinuousQueryTimestampedStratified):
+    """Standing queryTimestamped over a streaming job's close cycles: the
+    stratified evaluator with one archive under the constant key None.
 
     Reference semantics (conn/.../evaluator/evaluation/
     QueryTimestampedFunction.java:31-97): synopses accumulate in a bounded
@@ -245,298 +334,8 @@ class ContinuousQueryTimestamped:
     synopsis buffer; the flush happens only against the FIRST synopsis and
     only for buffered queries whose ts falls inside that first window —
     the rest of the buffer is silently lost (:64-66, :91-95; reproduced).
+    Query frames need ``query_key`` and ``query_ts`` (event-time us)."""
 
-    ``results`` rows carry (cycle, query columns, result, window_start,
-    window_end)."""
-
-    def __init__(self, job, query_fn, max_synopsis_count: int = 1 << 30):
-        self.job = job
-        self.query_fn = query_fn
-        self.max_synopsis_count = max_synopsis_count
-        self.archive = _BoundedArchive(max_synopsis_count)
-        self.buffered: list[pd.DataFrame] = []
-        self.results: list[pd.DataFrame] = []
-        self._seen_emits: set[str] = set()
-
-    def _insert(self, cycle: int, ws: int, we: int, payload: bytes) -> None:
-        first = len(self.archive) == 0
-        self.archive.insert(ws, we, payload)
-        if first and self.buffered:
-            _flush_first_synopsis(
-                cycle, self.buffered, self.query_fn, payload, ws, we, self.results
-            )
-            self.buffered = []  # unmatched buffered queries are lost (:64-66)
-
-    def _refresh_archive(self, cycle: int) -> None:
-        rows: list[tuple[int, int, bytes]] = []
-        for t in _new_emit_tables(
-            self.job.out_dir, self._seen_emits,
-            ["window_start", "window_end", "payload"],
-        ):
-            for i in range(t.num_rows):
-                rows.append(
-                    (
-                        int(t["window_start"][i].as_py()),
-                        int(t["window_end"][i].as_py()),
-                        t["payload"][i].as_py(),
-                    )
-                )
-        # windows emit in close (window_start) order; make it explicit so
-        # "first synopsis" is deterministic when one cycle closes several
-        for ws, we, payload in sorted(rows, key=lambda r: r[0]):
-            self._insert(cycle, ws, we, payload)
-
-    def _arrive(self, cycle: int, queries: pd.DataFrame | None) -> None:
-        if queries is None or len(queries) == 0:
-            return
-        if len(self.archive) == 0:
-            self.buffered.append(queries)
-            return
-        starts, ends = self.archive.views()
-        ts = _ts_us(queries["query_ts"])
-        idx, ok = asof_route(starts, ends, ts)
-        if not ok.any():
-            return  # all outside the archive: dropped (:57-62)
-        hit = queries[ok]
-        widx = idx[ok]
-        out = hit.copy()
-        res = np.empty(len(hit), dtype=np.float64)
-        for w in np.unique(widx):
-            synopsis = Synopsis.from_bytes(self.archive.payload(int(w)))
-            m = widx == w
-            res[m] = self.query_fn(synopsis, hit["query_key"].to_numpy()[m])
-        out["result"] = res
-        out["window_start"] = starts[widx]
-        out["window_end"] = ends[widx]
-        out.insert(0, "cycle", cycle)
-        self.results.append(out)
-
-    def run(self, fragment_paths: list[str], query_arrivals) -> pd.DataFrame:
-        """Same cycle contract as ``ContinuousQueryLatest.run``; query
-        frames need ``query_key`` and ``query_ts`` (event-time us)."""
-        get = (
-            query_arrivals
-            if callable(query_arrivals)
-            else lambda k: query_arrivals.get(k)
-        )
-        for k in range(len(fragment_paths)):
-            self.job.run(
-                fragment_paths[: k + 1], final_flush=False, pipelined=False
-            )
-            self._refresh_archive(k)
-            self._arrive(k, get(k))
-        self.job.run(fragment_paths, final_flush=True, pipelined=False)
-        self._refresh_archive(len(fragment_paths))
-        self._arrive(len(fragment_paths), get(len(fragment_paths)))
-        if not self.results:
-            return pd.DataFrame(
-                {"cycle": pd.Series(dtype=np.int64),
-                 "query_key": pd.Series(dtype=np.int64),
-                 "query_ts": pd.Series(dtype=np.int64),
-                 "result": pd.Series(dtype=np.float64),
-                 "window_start": pd.Series(dtype=np.int64),
-                 "window_end": pd.Series(dtype=np.int64)}
-            )
-        return pd.concat(self.results, ignore_index=True)
-
-
-class ContinuousQueryTimestampedStratified:
-    """Standing stratified queryTimestamped over a stratified streaming job.
-
-    Reference semantics (conn/.../evaluator/evaluation/
-    QueryStratifiedTimestampedFunction.java:30-96): one bounded
-    windowStart-ordered archive PER STRATUM (oldest evicted at
-    ``max_synopsis_count``, :76-79); a query floor-routes within its own
-    stratum's archive and answers only when the window covers its ts
-    (:45-55, silent drop otherwise); queries for strata with no synopsis
-    yet buffer per stratum, flushing against that stratum's FIRST synopsis
-    only for matching timestamps (:86-93) — the rest is lost."""
-
-    def __init__(self, job, query_fn, max_synopsis_count: int = 1 << 30):
-        self.job = job
-        self.query_fn = query_fn
-        self.max_synopsis_count = max_synopsis_count
-        # stratum -> bounded windowStart-ordered archive
-        self.archive: dict[str, _BoundedArchive] = {}
-        self.buffered: dict[str, list[pd.DataFrame]] = {}
-        self.results: list[pd.DataFrame] = []
-        self._seen_emits: set[str] = set()
-
-    def _insert(
-        self, cycle: int, stratum: str, ws: int, we: int, payload: bytes
-    ) -> None:
-        first = stratum not in self.archive
-        if first:
-            self.archive[stratum] = _BoundedArchive(self.max_synopsis_count)
-        self.archive[stratum].insert(ws, we, payload)
-        if first and stratum in self.buffered:
-            _flush_first_synopsis(
-                cycle, self.buffered.pop(stratum), self.query_fn,
-                payload, ws, we, self.results,
-            )
-
-    def _refresh_archive(self, cycle: int) -> None:
-        rows: list[tuple[int, str, int, bytes]] = []
-        for t in _new_emit_tables(
-            self.job.out_dir, self._seen_emits,
-            ["stratum", "window_start", "window_end", "payload"],
-        ):
-            for i in range(t.num_rows):
-                rows.append(
-                    (
-                        int(t["window_start"][i].as_py()),
-                        t["stratum"][i].as_py(),
-                        int(t["window_end"][i].as_py()),
-                        t["payload"][i].as_py(),
-                    )
-                )
-        for ws, stratum, we, payload in sorted(rows, key=lambda r: r[0]):
-            self._insert(cycle, stratum, ws, we, payload)
-
-    def _arrive(self, cycle: int, queries: pd.DataFrame | None) -> None:
-        if queries is None or len(queries) == 0:
-            return
-        for stratum, g in queries.groupby("stratum", sort=False):
-            stratum = str(stratum)
-            if stratum not in self.archive:
-                self.buffered.setdefault(stratum, []).append(g)
-                continue
-            arch = self.archive[stratum]
-            starts, ends = arch.views()
-            ts = _ts_us(g["query_ts"])
-            idx, ok = asof_route(starts, ends, ts)
-            if not ok.any():
-                continue
-            hit = g[ok]
-            widx = idx[ok]
-            out = hit.copy()
-            res = np.empty(len(hit), dtype=np.float64)
-            for w in np.unique(widx):
-                synopsis = Synopsis.from_bytes(arch.payload(int(w)))
-                m = widx == w
-                res[m] = self.query_fn(synopsis, hit["query_key"].to_numpy()[m])
-            out["result"] = res
-            out["window_start"] = starts[widx]
-            out["window_end"] = ends[widx]
-            out.insert(0, "cycle", cycle)
-            self.results.append(out)
-
-    def run(self, fragment_paths: list[str], query_arrivals) -> pd.DataFrame:
-        """Same cycle contract as ``ContinuousQueryLatest.run``; query
-        frames need ``query_key``, ``query_ts`` and ``stratum``."""
-        get = (
-            query_arrivals
-            if callable(query_arrivals)
-            else lambda k: query_arrivals.get(k)
-        )
-        for k in range(len(fragment_paths)):
-            self.job.run(
-                fragment_paths[: k + 1], final_flush=False, pipelined=False
-            )
-            self._refresh_archive(k)
-            self._arrive(k, get(k))
-        self.job.run(fragment_paths, final_flush=True, pipelined=False)
-        self._refresh_archive(len(fragment_paths))
-        self._arrive(len(fragment_paths), get(len(fragment_paths)))
-        if not self.results:
-            return pd.DataFrame(
-                {"cycle": pd.Series(dtype=np.int64),
-                 "query_key": pd.Series(dtype=np.int64),
-                 "query_ts": pd.Series(dtype=np.int64),
-                 "stratum": pd.Series(dtype=object),
-                 "result": pd.Series(dtype=np.float64),
-                 "window_start": pd.Series(dtype=np.int64),
-                 "window_end": pd.Series(dtype=np.int64)}
-            )
-        return pd.concat(self.results, ignore_index=True)
-
-
-class ContinuousQueryLatest:
-    """Standing queryLatest over a ``StreamingSynopsisJob``'s close cycles.
-
-    ``results`` rows carry (cycle, query columns, result, window_start,
-    window_end); a query answered from the buffer records the cycle it was
-    FLUSHED in (the first-synopsis cycle), like the reference's buffered
-    elements being processed on flush."""
-
-    def __init__(self, job, query_fn):
-        self.job = job
-        self.query_fn = query_fn
-        self.buffered: list[pd.DataFrame] = []
-        self.latest: tuple[bytes, int, int] | None = None
-        self.results: list[pd.DataFrame] = []
-        self._seen_emits: set[str] = set()
-
-    def _refresh_latest(self) -> None:
-        for t in _new_emit_tables(
-            self.job.out_dir, self._seen_emits,
-            ["window_start", "window_end", "payload"],
-        ):
-            if t.num_rows == 0:
-                continue
-            starts = t["window_start"].to_numpy()
-            i = int(np.argmax(starts))
-            ws = int(starts[i])
-            if self.latest is None or ws > self.latest[1]:
-                self.latest = (
-                    t["payload"][i].as_py(),
-                    ws,
-                    int(t["window_end"][i].as_py()),
-                )
-
-    def _evaluate(self, cycle: int, queries: pd.DataFrame) -> None:
-        payload, ws, we = self.latest
-        synopsis = Synopsis.from_bytes(payload)
-        out = queries.copy()
-        out["result"] = self.query_fn(synopsis, queries["query_key"].to_numpy())
-        out["window_start"] = ws
-        out["window_end"] = we
-        out.insert(0, "cycle", cycle)
-        self.results.append(out)
-
-    def _arrive(self, cycle: int, queries: pd.DataFrame | None) -> None:
-        # flush buffered queries once the first synopsis exists
-        if self.latest is not None and self.buffered:
-            for q in self.buffered:
-                self._evaluate(cycle, q)
-            self.buffered = []
-        if queries is None or len(queries) == 0:
-            return
-        if self.latest is None:
-            self.buffered.append(queries)
-        else:
-            self._evaluate(cycle, queries)
-
-    def run(
-        self,
-        fragment_paths: list[str],
-        query_arrivals,
-    ) -> pd.DataFrame:
-        """``query_arrivals``: dict cycle->DataFrame(query_key, ...) or a
-        callable cycle->DataFrame (a STANDING query set passes the same
-        frame every cycle).  Cycle k runs after fragment k's close; cycle
-        ``len(fragment_paths)`` is the end-of-stream flush."""
-        get = (
-            query_arrivals
-            if callable(query_arrivals)
-            else lambda k: query_arrivals.get(k)
-        )
-        for k in range(len(fragment_paths)):
-            self.job.run(
-                fragment_paths[: k + 1], final_flush=False, pipelined=False
-            )
-            self._refresh_latest()
-            self._arrive(k, get(k))
-        # end-of-stream: final close cycle, then the last arrivals/flush
-        self.job.run(fragment_paths, final_flush=True, pipelined=False)
-        self._refresh_latest()
-        self._arrive(len(fragment_paths), get(len(fragment_paths)))
-        if not self.results:
-            return pd.DataFrame(
-                {"cycle": pd.Series(dtype=np.int64),
-                 "query_key": pd.Series(dtype=np.int64),
-                 "result": pd.Series(dtype=np.float64),
-                 "window_start": pd.Series(dtype=np.int64),
-                 "window_end": pd.Series(dtype=np.int64)}
-            )
-        return pd.concat(self.results, ignore_index=True)
+    stratified = False
+    result_columns = ("cycle", "query_key", "query_ts", "result",
+                      "window_start", "window_end")

@@ -34,11 +34,22 @@ def stable_partition_order(part: np.ndarray, n_parts: int) -> np.ndarray:
     return np.argsort(part, kind="stable")
 
 
+_US_PER_UNIT = {"s": 1_000_000, "ms": 1_000}
+
+
 def ts_to_us(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """timestamp[us] column -> int64 epoch-microsecond ndarray (zero-copy)."""
+    """timestamp[s|ms|us|ns] column -> int64 epoch-microsecond ndarray
+    (zero-copy for timestamp[us]; ns floors to the microsecond).  An int64
+    column is taken as microseconds already and passes through."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    return col.cast(pa.int64()).to_numpy()
+    unit = col.type.unit if pa.types.is_timestamp(col.type) else "us"
+    ts = col.cast(pa.int64()).to_numpy()
+    if unit == "ns":
+        return ts // 1_000
+    if unit in _US_PER_UNIT:
+        return ts * _US_PER_UNIT[unit]
+    return ts
 
 
 class KeyExtractor:

@@ -187,3 +187,38 @@ def test_fragment_ts_stats_matches_column_read(tmp_path):
         assert fragment_ts_stats(path) == (int(col.min()), int(col.max())), name
     empty = _write(str(tmp_path / "empty.parquet"), [], pa.timestamp("us"))
     assert fragment_ts_stats(empty) == (POS_INF, NEG_INF)
+
+
+def test_timestamp_units_emit_identical_bytes(ray_session, tiny_fixture, tmp_path):
+    """A stream stored as timestamp[ms] or timestamp[ns] is the same stream
+    as its timestamp[us] copy: same footer watermarks, same emit bytes."""
+    from condor_ray.engine.streaming import StreamingSynopsisJob
+
+    cfg = BuildConfiguration(
+        synopsis="CountMinSketch", params=(1024, 3, 7), windows=[TumblingWindow(W_MS)],
+        key=KeySpec("conv_id", "java_hash"), parallelism=2,
+    )
+    emits = {}
+    for unit in ("us", "ms", "ns"):
+        d = tmp_path / unit
+        d.mkdir()
+        frags = []
+        for i, src in enumerate(transcript_fragments(tiny_fixture)):
+            t = pq.read_table(src, columns=["conv_id", "ts"])
+            ms = pc.divide(t["ts"].cast(pa.int64()), 1000)  # whole ms in every unit
+            ts = pc.multiply(ms, 1000).cast(pa.timestamp("us")).cast(pa.timestamp(unit))
+            frags.append(str(d / f"fragment-{i:05d}.parquet"))
+            pq.write_table(t.set_column(1, "ts", ts), frags[-1])
+            col = ts_to_us(pq.read_table(frags[-1], columns=["ts"])["ts"])
+            assert col[0] % 1000 == 0
+            assert fragment_ts_stats(frags[-1]) == (int(col.min()), int(col.max())), unit
+        out = d / "out"
+        job = StreamingSynopsisJob(cfg, str(out), columns=["conv_id", "ts"])
+        try:
+            job.run(frags, pipelined=True)
+        finally:
+            job.shutdown()
+        emits[unit] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))
+                       if f.startswith("emit-")}
+    assert len(emits["us"]) > 3
+    assert emits["ms"] == emits["us"] and emits["ns"] == emits["us"]

@@ -94,38 +94,6 @@ class TestWaveletWindows:
             assert rt.point_query(i) == pytest.approx(mgr.point_query(i))
 
 
-class TestFusedWindowBuild:
-    def test_fused_path_bit_identical(self, ray_session, tiny_fixture):
-        """intra_window_parallel=False (one fused task per window) must
-        produce bit-identical managers to the 3-stage parallel path."""
-        from condor_ray.config import KeySpec
-        from condor_ray.engine.ordered import build_windowed_wavelets
-        from condor_ray.sources.transcripts import read_transcripts
-        from condor_ray.windows import TumblingWindow
-
-        ds = read_transcripts(tiny_fixture, columns=["conv_id", "turn_idx", "ts"])
-        kw = dict(size=128, parallelism=3, key=KeySpec("turn_idx", "value"))
-        a = (
-            build_windowed_wavelets(
-                ds, TumblingWindow(60_000), intra_window_parallel=True, **kw
-            )
-            .to_pandas()
-            .sort_values("window_start")
-            .reset_index(drop=True)
-        )
-        b = (
-            build_windowed_wavelets(
-                ds, TumblingWindow(60_000), intra_window_parallel=False, **kw
-            )
-            .to_pandas()
-            .sort_values("window_start")
-            .reset_index(drop=True)
-        )
-        assert len(a) == len(b) > 0
-        assert (a["n_rows"].values == b["n_rows"].values).all()
-        assert all(x == y for x, y in zip(a["payload"], b["payload"]))
-
-
 class TestWaveBoundedFragmentBuild:
     """Wave-bounded fragment build == single-shot build, bit-identical."""
 
