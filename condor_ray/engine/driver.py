@@ -14,7 +14,9 @@ and supplies only its own parts:
   a ref to the number of rows it emits, or None.  Most engines pass their
   actors' close tables to ``_emit``, the shared atomic sink.
 - ``_flush_wm()`` (the end-of-input close horizon), ``emit_prefix``,
-  ``emit_sort``, ``emit_schema``, ``emitted_key`` and ``_summary()``.
+  ``emit_sort``, ``emit_schema``, ``emitted_key``, and ``_summary(stats)``
+  over the results of each actor's ``stats_call`` (submitted before the
+  final drain and resolved with it).
 
 The driver owns the rest:
 
@@ -36,7 +38,8 @@ The driver owns the rest:
   (``{prefix}-f{k:05d}.parquet``) atomically, so a replayed fragment rewrites
   byte-identical files.  Emits drain every 32 and before each checkpoint;
   ``last_emits`` lists the files the last ``run()`` wrote (its closes that
-  emitted rows), in close order.
+  emitted rows), in close order, and ``emitted_closes`` the indices of
+  every close of the job that wrote one (part of the cursor).
 - **Manifest**: ``manifest.jsonl`` gets one line per fragment
   ``{fragment, path, rows, late_dropped, watermark}`` and, at the end of
   every ``run()``, a summary line; ``run()`` returns its fields plus
@@ -45,8 +48,8 @@ The driver owns the rest:
   ``checkpoint_every`` fragments the actor snapshots and the cursor go to
   ``ckpt-{next_fragment:05d}``; ``resume()`` restores the newest and cuts the
   manifest back to it (``checkpoint.py``).
-- The final flush, ``result_dataset()`` (typed and empty when nothing was
-  emitted) and ``shutdown()``.
+- The final flush, ``result_dataset()`` (the files of ``emitted_closes``;
+  typed and empty when nothing was emitted) and ``shutdown()``.
 """
 
 from __future__ import annotations
@@ -150,7 +153,9 @@ class FragmentStreamJob:
     emit_sort: list[tuple[str, str]] | None = None
     emit_schema: pa.Schema
     emitted_key = "windows_emitted"
-    cursor_fields = ("next_fragment", "watermark", "min_ts", "total_late", "total_rows")
+    stats_call: str | None = None  # the actor method ``_summary`` reads
+    cursor_fields = ("next_fragment", "watermark", "min_ts", "total_late", "total_rows",
+                     "emitted_closes")
 
     def __init__(self, out_dir: str, stores: list, checkpoint_dir: str | None = None,
                  checkpoint_every: int = 4):
@@ -169,6 +174,7 @@ class FragmentStreamJob:
         self.total_late = 0
         self.flushed = False
         self.last_emits: list[str] = []
+        self.emitted_closes: list[int] = []
 
     def emit_path(self, idx: int) -> str:
         """The file close cycle ``idx`` writes."""
@@ -182,7 +188,7 @@ class FragmentStreamJob:
     def _flush_wm(self) -> int:
         return POS_INF
 
-    def _summary(self) -> dict:
+    def _summary(self, stats: list) -> dict:
         return {}
 
     def _input_of(self, k: int) -> int:
@@ -221,7 +227,7 @@ class FragmentStreamJob:
             refs = inflight.pop(k)
             if self.late_at_ingest:
                 refs = [refs[0], *self._ingest(k, refs[1:], self.watermark)]
-            meta, done = ray.get(refs[0]), ray.get(refs[1:])
+            meta, *done = ray.get(refs)
             late = sum(done) if self.late_at_ingest else meta["n_late"]
             self.total_rows += meta["n_rows"]
             self.total_late += late
@@ -238,30 +244,37 @@ class FragmentStreamJob:
             })
             self.next_fragment = k + 1
             if self.checkpoint_dir and self.next_fragment % self.checkpoint_every == 0:
-                emitted += self._drain(emits)
+                emitted += self._drain(emits)[0]
                 self._checkpoint()
             elif len(emits) >= _DRAIN_EVERY:
-                emitted += self._drain(emits)
+                emitted += self._drain(emits)[0]
         if final_flush and max(self._input_wm) > NEG_INF:
             # a local horizon: self.watermark stays the true max-seen ts
             emits.append((n, self._close(self._flush_wm(), n)))
             self.flushed = True
-        emitted += self._drain(emits)
-        summary = {"summary": True, self.emitted_key: emitted,
+        call = self.stats_call
+        stats = [getattr(s, call).remote() for s in self.stores] if call else []
+        tail, stats = self._drain(emits, stats)
+        summary = {"summary": True, self.emitted_key: emitted + tail,
                    "rows": self.total_rows, "late_dropped": self.total_late,
-                   **self._summary()}
+                   **self._summary(stats)}
         self._log(manifest, summary)
         del summary["summary"]
         return {**summary, "fragments": self.next_fragment}
 
-    def _drain(self, emits: list) -> int:
-        """Wait for the outstanding ``(idx, ref)`` emits (ref None: a close
-        with nothing to emit) and record the files they wrote."""
+    def _drain(self, emits: list, also: list = ()) -> tuple[int, list]:
+        """Wait, in one ``ray.get``, for the outstanding ``(idx, ref)`` emits
+        (ref None: a close with nothing to emit) and the refs ``also``;
+        record the files the emits wrote.  Returns the rows emitted and
+        ``also`` resolved."""
         live = [(i, r) for i, r in emits if r is not None]
-        counts = ray.get([r for _, r in live])
-        self.last_emits += [self.emit_path(i) for (i, _), c in zip(live, counts) if c]
+        got = ray.get([r for _, r in live] + list(also))
+        counts = got[: len(live)]
+        wrote = [i for (i, _), c in zip(live, counts) if c]
+        self.emitted_closes += wrote
+        self.last_emits += [self.emit_path(i) for i in wrote]
         emits.clear()
-        return sum(counts)
+        return sum(counts), got[len(live) :]
 
     @staticmethod
     def _log(path: str, record: dict) -> None:
@@ -311,11 +324,7 @@ class FragmentStreamJob:
     def result_dataset(self):
         import ray.data as rd
 
-        files = sorted(
-            os.path.join(self.out_dir, f)
-            for f in os.listdir(self.out_dir)
-            if f.startswith(self.emit_prefix + "-") and f.endswith(".parquet")
-        )
+        files = [self.emit_path(i) for i in self.emitted_closes]
         if not files:  # read_parquet([]) raises
             return rd.from_arrow(self.emit_schema.empty_table())
         return rd.read_parquet(files)

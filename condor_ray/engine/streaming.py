@@ -10,6 +10,14 @@ The Ray-native counterpart of Condor's Scotty path
   fragment > ``hot_key_threshold``) are salted round-robin across
   partitions, which is safe because mergeable-synopsis state is keyed by
   (stratum, slice), not by conv (SURVEY §4 skew row).
+- **Combiner**: a synopsis whose partial depends only on per-key counts
+  (one with ``update_weighted``: Count-Min) is pre-aggregated before the
+  shuffle.  After the late filter, salting and key extraction, one sort
+  groups the rows by (partition, slice, stratum, key), and the shards carry
+  one ``(__slice, [stratum], __key32, __count)`` row per group, which the
+  store applies as weights.  Shards of a few hundred rows travel inside the
+  task reply instead of the object store.  A fragment whose groups are more
+  than half its rows (mostly distinct keys, sub-second slices) ships rows.
 - **Late rule**: applied in the split.  A row is late iff its slice end <=
   the carry-in watermark (the max-seen assigner of
   bench/.../sources/utils/SyntheticTimestampsAndWatermarks.java:17-28, at
@@ -39,6 +47,7 @@ from ..runtime import cluster_cpus
 from ..stages.extract import stable_partition_order, ts_to_us
 from ..state.store import PartitionStateStore
 from ..synopses.base import Synopsis
+from ..synopses.registry import get_synopsis_class
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
 from .batch import _common_slice_us, _window_kind
 from .driver import NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
@@ -129,6 +138,56 @@ def submit_split_by_conv(path: str, parallelism: int, columns: list[str] | None)
     )
 
 
+def _count_shards(
+    table: pa.Table, part: np.ndarray, sid: np.ndarray, keys: np.ndarray,
+    stratum: str | None, parallelism: int,
+) -> list | None:
+    """The combiner: one row ``(__slice, [stratum], __key32, __count)`` per
+    (partition, slice, stratum, key) group of the rows, ordered by slice
+    within each shard.  Keys ship as the int32 the Count-Min hash reads.
+    None when the groups are more than half the rows (the row shards are
+    then smaller and cheaper to apply) or span too many slices to pack."""
+    n = len(keys)
+    s0 = int(sid.min()) if n else 0
+    span = int(sid.max()) - s0 + 1 if n else 1
+    n_codes = 1
+    if stratum is not None:
+        col = table[stratum].combine_chunks()
+        if not pa.types.is_dictionary(col.type):
+            col = col.dictionary_encode()
+        n_codes = len(col.dictionary) + 1  # the last code is null
+    if parallelism * span * n_codes >= 2**31:
+        return None  # a fragment spanning ~2^31 slices: rows are no bigger
+    group = part * span + (sid - s0)  # partition, then slice, then stratum
+    if stratum is not None:
+        codes = col.indices.fill_null(n_codes - 1).to_numpy().astype(np.int64)
+        group = group * n_codes + codes
+    # the group above the key's 32 bits: one int64 sort finds every group
+    keys = np.ascontiguousarray(keys, dtype=np.int32)
+    packed = np.sort((group << 32) | keys.view(np.uint32))
+    first = np.flatnonzero(np.concatenate([[True], packed[1:] != packed[:-1]]))
+    if 2 * len(first) > n:
+        return None
+    packed = packed[first]
+    group = packed >> 32
+    strata = {}
+    if stratum is not None:
+        code = (group % n_codes).astype(np.int32)
+        group //= n_codes
+        strata[stratum] = pa.DictionaryArray.from_arrays(
+            pa.array(code, mask=code == n_codes - 1), col.dictionary
+        )
+    counts = pa.table({
+        "__slice": group % span + s0,
+        **strata,
+        "__key32": packed.astype(np.uint32).view(np.int32),
+        "__count": np.diff(np.append(first, n)).astype(np.int32),
+    })
+    sizes = np.bincount(group // span, minlength=parallelism)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return [counts.slice(offsets[p], sizes[p]) for p in range(parallelism)]
+
+
 def _partition_fragment(
     path: str,
     parallelism: int,
@@ -138,12 +197,15 @@ def _partition_fragment(
     columns: list[str] | None,
     key_spec=None,
     shard_columns: list[str] | None = None,
+    combine: bool = False,
 ):
     """Split one fragment into P shards by conv hash; drop+count late rows.
 
     ``shard_columns`` projects the shards onto the columns their store reads
     (None: every column read).  The routing column is used here and need
-    not ship.
+    not ship.  With ``combine`` (and a ``key_spec``) the shards carry
+    per-(slice, stratum, key) counts instead of rows (``_count_shards``);
+    the stratum is the shard column other than ts and __key32, if any.
 
     Returns (meta_dict, shard_0, ..., shard_{P-1}) — shards are separate
     return values so Ray ships each one only to its partition's actor."""
@@ -162,6 +224,7 @@ def _partition_fragment(
     meta["n_late"] = int(late.sum())
     if meta["n_late"]:
         table = table.filter(pa.array(~late))
+        ts = ts[~late]
 
     part, codes, dic = conv_partition_ids(table["conv_id"], parallelism)
 
@@ -182,6 +245,15 @@ def _partition_fragment(
         from ..stages.extract import KeyExtractor
 
         key_col = KeyExtractor(key_spec)(table)
+        if combine:
+            stratum = next(
+                (c for c in shard_columns or () if c not in ("ts", "__key32")), None
+            )
+            shards = _count_shards(
+                table, part, ts // slice_us, key_col, stratum, parallelism
+            )
+            if shards is not None:
+                return (meta, *shards)
         table = table.append_column(
             "__key32", pa.array(np.ascontiguousarray(key_col))
         )
@@ -329,6 +401,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
     of every window the watermark has passed."""
 
     late_at_ingest = False
+    stats_call = "stats"
     cursor_fields = FragmentStreamJob.cursor_fields + ("closed_through",)
     emit_schema = pa.schema([
         ("window_kind", pa.string()), ("window_start", pa.int64()),
@@ -368,6 +441,11 @@ class StreamingSynopsisJob(FragmentStreamJob):
         self.shard_columns = None if config.sample_elements else sorted(
             {"ts", "__key32", config.stratify_by} - {None}
         )
+        # a synopsis that takes weighted keys depends only on per-key
+        # counts: its shards ship counts, combined in the split
+        self.combine = not config.sample_elements and hasattr(
+            get_synopsis_class(config.synopsis), "update_weighted"
+        )
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
         super().__init__(
             out_dir,
@@ -402,6 +480,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
             self.columns,
             None if self.config.sample_elements else self.config.key,
             self.shard_columns,
+            self.combine,
         )
 
     def _close(self, wm: int, idx: int):
@@ -442,8 +521,8 @@ class StreamingSynopsisJob(FragmentStreamJob):
         # make the close loop enumerate windows forever)
         return self.watermark + max(w.size_us for w in self.windows) + self.slice_us
 
-    def _summary(self) -> dict:
-        return {"partitions": ray.get([s.stats.remote() for s in self.stores])}
+    def _summary(self, stats: list) -> dict:
+        return {"partitions": stats}
 
 
 def _as_sliding(w) -> SlidingWindow:

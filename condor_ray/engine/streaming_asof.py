@@ -31,6 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from ..stages.extract import ts_to_us
 from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
 from .streaming import submit_split_by_conv
 
@@ -76,7 +77,7 @@ class AsofStateStore:
                 "turn_idx": batch["turn_idx"].to_numpy().astype(np.int64),
                 "role": batch["role"].to_pandas(),
                 "tool": batch["tool"].to_pandas(),
-                "ts": batch["ts"].cast(pa.int64()).to_pandas(),
+                "ts": ts_to_us(batch["ts"]),
             }
         )
         late = df["ts"] < watermark_us
@@ -217,6 +218,7 @@ class StreamingAsofJob(FragmentStreamJob):
     emit_prefix = "asof"
     emit_schema = _OUT_SCHEMA
     emitted_key = "rows_emitted"
+    stats_call = "stats"
 
     def __init__(
         self,
@@ -250,6 +252,5 @@ class StreamingAsofJob(FragmentStreamJob):
     def _close(self, wm: int, idx: int):
         return self._emit(idx, [s.emit.remote(wm) for s in self.stores])
 
-    def _summary(self) -> dict:
-        st = ray.get([s.stats.remote() for s in self.stores])
-        return {"max_buffered_rows": max(s["max_buffered"] for s in st)}
+    def _summary(self, stats: list) -> dict:
+        return {"max_buffered_rows": max(s["max_buffered"] for s in stats)}

@@ -404,6 +404,7 @@ class StreamingPatternJob(FragmentStreamJob):
     emit_sort = _EMIT_SORT
     emit_schema = pa.schema(list(_EMIT_SCHEMA.items()))
     emitted_key = "matches_emitted"
+    stats_call = "stats"
 
     def __init__(
         self,
@@ -448,7 +449,6 @@ class StreamingPatternJob(FragmentStreamJob):
     def _close(self, wm: int, idx: int):
         return self._emit(idx, [s.close.remote(wm) for s in self.stores])
 
-    def _summary(self) -> dict:
-        stats = ray.get([s.stats.remote() for s in self.stores])
+    def _summary(self, stats: list) -> dict:
         return {"peak_pending_rows": max(
             (s["peak_pending_rows"] for s in stats), default=0)}

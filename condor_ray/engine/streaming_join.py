@@ -12,7 +12,6 @@ behind the watermark.
 from __future__ import annotations
 
 import pyarrow as pa
-import ray
 
 from ..state.join_store import JoinStateStore
 from .driver import FragmentStreamJob, interleave
@@ -28,6 +27,7 @@ class StreamingJoinJob(FragmentStreamJob):
         ("call_ts", pa.int64()),
     ])
     emitted_key = "matches_emitted"
+    stats_call = "buffered"
 
     def __init__(self, parallelism: int = 4, bound_ms: int = 5_000, out_dir: str = "/tmp/join_out"):
         self.parallelism = parallelism
@@ -67,6 +67,5 @@ class StreamingJoinJob(FragmentStreamJob):
     def _close(self, wm: int, idx: int):
         return self._emit(idx, [s.emit_matches.remote(wm) for s in self.stores])
 
-    def _summary(self) -> dict:
-        hwm = [b["max_buffered"] for b in ray.get([s.buffered.remote() for s in self.stores])]
-        return {"max_buffered_rows": max(hwm, default=0)}
+    def _summary(self, stats: list) -> dict:
+        return {"max_buffered_rows": max((b["max_buffered"] for b in stats), default=0)}

@@ -173,12 +173,18 @@ class _StandingQuery:
         return ((str(s), g) for s, g in queries.groupby("stratum", sort=False))
 
     def _record(self, cycle: int, hit: pd.DataFrame, result, ws, we) -> None:
-        out = hit.copy()
-        out["result"] = result
-        out["window_start"] = ws
-        out["window_end"] = we
-        out.insert(0, "cycle", cycle)
-        self.results.append(out)
+        """One frame (cycle, hit's columns, result, window bounds), built
+        without copies: ``run`` concatenates the frames into a new one."""
+        n = len(hit)
+
+        def column(v):
+            return np.full(n, v, dtype=np.int64) if np.ndim(v) == 0 else v
+
+        self.results.append(pd.DataFrame(
+            {"cycle": column(cycle), **{c: hit[c].array for c in hit.columns},
+             "result": result, "window_start": column(ws), "window_end": column(we)},
+            index=hit.index, copy=False,
+        ))
 
     def _answer(self, cycle: int, queries: pd.DataFrame, payload: bytes,
                 ws: int, we: int) -> None:

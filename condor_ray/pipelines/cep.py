@@ -26,8 +26,10 @@ from typing import Any
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..runtime import default_n_parts
+from ..stages.extract import ts_to_us
 
 _OPS = ("eq", "ne", "notnull", "isnull", "in")
 
@@ -164,7 +166,7 @@ def match_pattern(ds, steps: list[Step], within_ms: int | None = None,
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         conv = g["conv_id"].to_numpy()
-        ts = g["ts"].astype("int64").to_numpy()
+        ts = ts_to_us(pa.array(g["ts"]))
         turn = g["turn_idx"].to_numpy()
         order = np.lexsort((turn, ts, conv))
         conv, ts, turn = conv[order], ts[order], turn[order]
@@ -240,7 +242,7 @@ def match_pattern_relaxed(ds, steps: list[Step], within_ms: int | None = None,
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         conv = g["conv_id"].to_numpy()
-        ts = g["ts"].astype("int64").to_numpy()
+        ts = ts_to_us(pa.array(g["ts"]))
         turn = g["turn_idx"].to_numpy()
         order = np.lexsort((turn, ts, conv))
         conv, ts, turn = conv[order], ts[order], turn[order]

@@ -31,6 +31,7 @@ import numpy as np
 import pandas as pd
 
 from ..hashing import java_string_hash_arrow
+from ..stages.extract import ts_to_us
 
 
 def _bucket_of(conv_col, n_buckets: int) -> np.ndarray:
@@ -80,7 +81,7 @@ def join_turns_tool_calls(
             {
                 "conv_id": block["conv_id"],
                 "turn_idx": block["turn_idx"].cast(pa.int32()),
-                "turn_ts": block["ts"].cast(pa.int64()),
+                "turn_ts": ts_to_us(block["ts"]),
                 "tool": block["tool"],
             }
         ).combine_chunks()
@@ -106,7 +107,7 @@ def join_turns_tool_calls(
                 "call_id": block["call_id"],
                 "tool": block["tool"],
                 "status": block["status"],
-                "call_ts": block["ts"].cast(pa.int64()),
+                "call_ts": ts_to_us(block["ts"]),
             }
         ).combine_chunks()
         return _route(proj, n_parts)

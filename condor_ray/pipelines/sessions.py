@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..runtime import default_n_parts
+from ..stages.extract import ts_to_us
 
 
 def _session_boundaries(conv: np.ndarray, ts: np.ndarray, gap_us: int):
@@ -69,7 +71,7 @@ def _conv_shard(extra_cols: tuple = ()):
         cols = {
             "conv_id": conv,
             "turn_idx": block["turn_idx"].cast(pa.int64()),
-            "ts": block["ts"].cast(pa.int64()),
+            "ts": ts_to_us(block["ts"]),
         }
         for name, _typ in extra_cols:
             cols[name] = block[name]
@@ -124,7 +126,7 @@ def session_stats(ds, gap_ms: int, n_parts: int | None = None):
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         conv = g["conv_id"].to_numpy()
-        ts = g["ts"].astype("int64").to_numpy()
+        ts = ts_to_us(pa.array(g["ts"]))
         turn = g["turn_idx"].to_numpy()
         order = np.lexsort((turn, ts, conv))
         conv, ts = conv[order], ts[order]
@@ -317,7 +319,7 @@ def session_synopses(
         # loop is over SESSIONS (one synopsis build each — inherent work),
         # never a Ray dispatch per conversation
         conv = g["conv_id"].to_numpy()
-        ts = g["ts"].astype("int64").to_numpy()
+        ts = ts_to_us(pa.array(g["ts"]))
         turn = g["turn_idx"].to_numpy()
         order = np.lexsort((turn, ts, conv))
         conv, ts = conv[order], ts[order]

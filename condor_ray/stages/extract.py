@@ -66,6 +66,8 @@ class KeyExtractor:
         if t == "length":
             if isinstance(col, pa.ChunkedArray):
                 col = col.combine_chunks()
+            if pa.types.is_dictionary(col.type):  # a dictionary-preserving read
+                col = col.dictionary_decode()
             return pc.utf8_length(col).cast(pa.int64()).to_numpy().astype(np.int32)
         if t == "value":
             if isinstance(col, pa.ChunkedArray):

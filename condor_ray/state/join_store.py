@@ -21,6 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from ..stages.extract import ts_to_us
+
 
 @ray.remote(num_cpus=0.5)
 class JoinStateStore:
@@ -40,8 +42,9 @@ class JoinStateStore:
         n_late = 0
         if batch.num_rows:
             df = batch.to_pandas()
+            df["ts"] = ts_to_us(batch["ts"])
             df = df[df["tool"].notna()]
-            late = df["ts"].astype("int64") + self.bound_us < watermark_us
+            late = df["ts"] + self.bound_us < watermark_us
             n_late = int(late.sum())
             df = df[~late]
             if len(df):
@@ -50,7 +53,7 @@ class JoinStateStore:
                         {
                             "conv_id": df["conv_id"],
                             "turn_idx": df["turn_idx"].astype(np.int32),
-                            "turn_ts": df["ts"].astype("int64"),
+                            "turn_ts": df["ts"],
                             "tool": df["tool"],
                         }
                     )
@@ -63,10 +66,11 @@ class JoinStateStore:
         n_late = 0
         if batch.num_rows:
             df = batch.to_pandas()
+            df["ts"] = ts_to_us(batch["ts"])
             # any call behind the combined watermark is late: turns that
             # could match it may already have been emitted/purged (their
             # horizon passed), so keeping it would silently lose pairs
-            late = df["ts"].astype("int64") < watermark_us
+            late = df["ts"] < watermark_us
             n_late = int(late.sum())
             df = df[~late]
         if batch.num_rows and len(df):
@@ -77,7 +81,7 @@ class JoinStateStore:
                         "call_id": df["call_id"],
                         "tool": df["tool"],
                         "status": df["status"],
-                        "call_ts": df["ts"].astype("int64"),
+                        "call_ts": df["ts"],
                     }
                 )
             )

@@ -55,12 +55,20 @@ class PartitionStateStore:
     # -- ingest one micro-batch shard (already partition-filtered, already
     #    late-dropped upstream where arrival order is known) ---------------
     def ingest(self, batch: pa.Table) -> int:
+        """Apply a row shard, or a count shard from the split's combiner
+        (one ``(__slice, [stratum], __key32, __count)`` row per group, its
+        counts applied as weights).  Returns the rows applied."""
         _t0 = time.perf_counter()
         n = batch.num_rows
         if n == 0:
             return 0
-        ts = ts_to_us(batch["ts"])
-        sid = ts // self.slice_us
+        weights = None
+        if "__count" in batch.column_names:
+            sid = batch["__slice"].to_numpy()
+            weights = batch["__count"].to_numpy()
+        else:
+            ts = ts_to_us(batch["ts"])
+            sid = ts // self.slice_us
         if self.sample_elements:
             from ..engine.batch import _element_keys
 
@@ -102,6 +110,11 @@ class PartitionStateStore:
                     syn.set_partition_value(stratum)
                 self.slices[key] = syn
                 self.slice_counts[key] = 0
+            if weights is not None:
+                w = weights[idx]
+                syn.apply_precomputed(pre, idx, w)
+                self.slice_counts[key] += int(w.sum())
+                continue
             if pre is not None:
                 syn.apply_precomputed(pre, idx)
             elif self.timestamped:
@@ -109,11 +122,12 @@ class PartitionStateStore:
             else:
                 syn.update_batch(values[idx])
             self.slice_counts[key] += hi - lo
-        self.rows_ingested += n
+        rows = n if weights is None else int(weights.sum())
+        self.rows_ingested += rows
         if len(self.slices) > self.max_open_slices:
             self.max_open_slices = len(self.slices)
         self.ingest_sec += time.perf_counter() - _t0
-        return n
+        return rows
 
     # -- window close ------------------------------------------------------
     def collect_closed_slices_snapshot(

@@ -20,6 +20,10 @@ import numpy as np
 from ..hashing import EH3HashFunction, H3HashFunctions, XORShiftRandom, java_mod
 from .base import Synopsis
 
+# a sparse Count-Min answers batches of at least this many keys through the
+# fused kernel (over a scratch dense copy); smaller ones stay on numpy
+_FUSED_SPARSE_QUERY = 64
+
 
 class CountMinSketch(Synopsis):
     """Count-Min sketch (core/.../Sketches/CountMinSketch.java:23-270).
@@ -43,7 +47,14 @@ class CountMinSketch(Synopsis):
     count per distinct key of a slice (``update_weighted`` shares the
     scatter).  Batches whose keys are mostly distinct, and slices too small
     to repeat a key often, add their rows' cells instead.  The result is
-    byte-identical to ``update_batch`` of the rows.
+    byte-identical to ``update_batch`` of the rows.  Because of that
+    linearity the streaming split combines Count-Min rows into per-(slice,
+    stratum, key) counts before the shuffle (``engine/streaming.py``), and
+    the store applies them through ``apply_precomputed(..., weights)``.
+
+    A batch query on a sparse sketch runs the fused kernel too, over a
+    scratch dense copy; batches under ``_FUSED_SPARSE_QUERY`` keys stay on
+    numpy.
     """
 
     mergeable = True
@@ -208,8 +219,14 @@ class CountMinSketch(Synopsis):
         uniq, inv = np.unique(values, return_inverse=True)
         return self._flat_indices(uniq).reshape(-1, self.height), inv
 
-    def apply_precomputed(self, pre, idx: np.ndarray) -> None:
+    def apply_precomputed(self, pre, idx: np.ndarray, weights=None) -> None:
+        """``weights``, one count per row of ``idx``, applies each row that
+        many times (a combined shard's rows), as ``update_weighted``."""
         flat, inv = pre
+        if weights is not None:
+            self._scatter_weighted(flat[idx if inv is None else inv[idx]].ravel(), weights)
+            self.elements_processed += int(weights.sum())
+            return
         if inv is None:
             self._add_cells(flat[idx].ravel(), 1)
         elif len(idx) * 4 < len(flat):
@@ -222,20 +239,29 @@ class CountMinSketch(Synopsis):
 
     # -- queries -----------------------------------------------------------
     def query_batch(self, values: np.ndarray) -> np.ndarray:
-        if self._dense is not None and len(values):
-            lib = self._native_cm()
-            if lib is not None:
+        # the fused kernel reads a dense layout: a sparse sketch answers a
+        # batch from a scratch dense copy, and a tiny batch on numpy
+        fused = len(values) >= _FUSED_SPARSE_QUERY or (
+            self._dense is not None and len(values)
+        )
+        lib = self._native_cm() if fused else None
+        if lib is not None:
+            if self._dense is None:
+                dense = np.zeros(self.height * self.width, dtype=np.int32)
+                dense[self._sp_idx] = self._sp_val
+            else:
                 if not self._dense.flags.c_contiguous:
                     self._dense = np.ascontiguousarray(self._dense)
-                v = np.ascontiguousarray(values, dtype=np.int32)
-                out = np.empty(len(v), dtype=np.int32)
-                lib.cm_query_dense(
-                    v.ctypes.data, len(v),
-                    self.hash_functions._lut.ctypes.data,
-                    self.height, self.width,
-                    self._dense.ctypes.data, out.ctypes.data,
-                )
-                return out
+                dense = self._dense
+            v = np.ascontiguousarray(values, dtype=np.int32)
+            out = np.empty(len(v), dtype=np.int32)
+            lib.cm_query_dense(
+                v.ctypes.data, len(v),
+                self.hash_functions._lut.ctypes.data,
+                self.height, self.width,
+                dense.ctypes.data, out.ctypes.data,
+            )
+            return out
         flat = self._flat_indices(values).reshape(len(values), self.height)
         if self._dense is not None:
             ests = self._dense.ravel()[flat]

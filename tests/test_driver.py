@@ -7,6 +7,7 @@ import json
 import os
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -222,3 +223,119 @@ def test_timestamp_units_emit_identical_bytes(ray_session, tiny_fixture, tmp_pat
                        if f.startswith("emit-")}
     assert len(emits["us"]) > 3
     assert emits["ms"] == emits["us"] and emits["ns"] == emits["us"]
+
+
+def _whole_ms_copy(src, dst, unit):
+    """``src`` with its ts truncated to whole ms and stored as timestamp[unit]."""
+    t = pq.read_table(src)
+    ms = pc.divide(t["ts"].cast(pa.int64()), 1000)
+    ts = pc.multiply(ms, 1000).cast(pa.timestamp("us")).cast(pa.timestamp(unit))
+    pq.write_table(t.set_column(t.schema.get_field_index("ts"), "ts", ts), dst)
+    return dst
+
+
+def _unit_streams(fixture, tmp_path, unit):
+    """Whole-ms copies of the fixture's fragments and of its tool calls cut
+    into three ts-ordered fragments, in timestamp[unit]."""
+    calls_src = tmp_path / "calls-src"
+    if not calls_src.exists():
+        _call_fragments(fixture, str(calls_src), descending=False)
+    d = tmp_path / unit
+    d.mkdir()
+    turns = [_whole_ms_copy(p, str(d / os.path.basename(p)), unit)
+             for p in transcript_fragments(fixture)]
+    calls = [_whole_ms_copy(str(calls_src / f), str(d / f), unit)
+             for f in sorted(os.listdir(calls_src))]
+    return turns, calls
+
+
+@pytest.mark.parametrize("engine", ["asof", "join", "sessions", "cep"])
+def test_timestamp_units_other_engines(ray_session, tiny_fixture, tmp_path, engine):
+    """The as-of, join, session and pattern engines read ts in its unit: a
+    timestamp[ms] stream writes the bytes of its timestamp[us] copy."""
+    outs = {}
+    for unit in ("us", "ms"):
+        turns, calls = _unit_streams(tiny_fixture, tmp_path, unit)
+        out = str(tmp_path / unit / "out")
+        if engine == "join":
+            from condor_ray.engine.streaming_join import StreamingJoinJob
+
+            job = StreamingJoinJob(parallelism=2, out_dir=out)
+            run = lambda frags: job.run(frags, calls)  # noqa: E731
+        else:
+            job, run = {"asof": _asof, "sessions": _sessions, "cep": _cep}[engine](out)
+        try:
+            res = run(turns)
+        finally:
+            job.shutdown()
+        outs[unit] = (res, _outputs(out))
+    (res, (emits, lines)), ms = outs["us"], outs["ms"]
+    assert len(emits) > 0 and len(lines) == len(turns) + 3 * (engine == "join")
+    if engine == "join":
+        assert res["matches"] > 1000
+    assert ms == outs["us"]
+
+
+def test_timestamp_units_batch_pipelines(ray_session, tiny_fixture, tmp_path):
+    """The batch join, sessions and pattern pipelines read ts in its unit."""
+    import ray.data as rd
+
+    from condor_ray.pipelines.cep import match_pattern, match_pattern_relaxed
+    from condor_ray.pipelines.join import join_turns_tool_calls
+    from condor_ray.pipelines.sessions import session_stats
+
+    steps = [Step("role", "eq", "user"), Step("role", "eq", "assistant")]
+    frames = {}
+    for unit in ("us", "ms"):
+        turns, calls = _unit_streams(tiny_fixture, tmp_path, unit)
+        ds = rd.read_parquet(turns)
+        out = {
+            "join": join_turns_tool_calls(ds, rd.read_parquet(calls), n_buckets=4),
+            "sessions": session_stats(ds, 15_000, n_parts=4),
+            "strict": match_pattern(ds, steps, within_ms=30_000, n_parts=4),
+            "relaxed": match_pattern_relaxed(ds, steps, within_ms=30_000, n_parts=4),
+        }
+        for name, res in out.items():
+            df = res.to_pandas()
+            frames[unit, name] = df.sort_values(list(df.columns)).reset_index(drop=True)
+    for name in ("join", "sessions", "strict", "relaxed"):
+        assert len(frames["us", name]) > 10, name
+        pd.testing.assert_frame_equal(frames["ms", name], frames["us", name])
+
+
+def test_result_dataset_reads_only_its_emits(ray_session, tiny_fixture, tmp_path):
+    """``result_dataset`` reads the emit files of the job's own closes, also
+    those before a checkpoint it resumed from, and no other file in
+    ``out_dir``."""
+    from condor_ray.engine.streaming import StreamingSynopsisJob
+
+    cfg = BuildConfiguration(
+        synopsis="CountMinSketch", params=(128, 3, 7), windows=[TumblingWindow(W_MS)],
+        key=KeySpec("conv_id", "java_hash"), parallelism=2,
+    )
+    frags = transcript_fragments(tiny_fixture)
+    once = StreamingSynopsisJob(cfg, str(tmp_path / "once"))
+    try:
+        once.run(frags)
+        expected = once.result_dataset().to_pandas()
+    finally:
+        once.shutdown()
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    crashed = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
+    try:
+        crashed.run(frags[:5], final_flush=False)
+    finally:
+        crashed.shutdown()
+    open(os.path.join(out, "emit-f09999.parquet"), "wb").close()  # not this job's
+    job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
+    try:
+        job.run(frags, resume=True)
+        got = job.result_dataset().to_pandas()
+    finally:
+        job.shutdown()
+    assert len(expected) > 3
+    keys = ["window_start", "stratum"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(keys).reset_index(drop=True),
+        expected.sort_values(keys).reset_index(drop=True),
+    )

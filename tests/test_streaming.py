@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -12,6 +13,7 @@ from condor_ray.config import BuildConfiguration, KeySpec
 from condor_ray.engine.streaming import StreamingSynopsisJob
 from condor_ray.hashing import java_string_hash_array
 from condor_ray.sources.transcripts import transcript_fragments
+from condor_ray.stages.extract import ts_to_us
 from condor_ray.synopses import CountMinSketch, Synopsis
 from condor_ray.windows import SlidingWindow, TumblingWindow
 
@@ -409,6 +411,135 @@ class TestPartitionFragmentEdgeCases:
         assert outs["pipe"] == outs["seq"]
         assert outs["ckpt"] == outs["seq"]
         assert sorted(os.listdir(tmp_path / "ckpt-state")) == ["ckpt-00004", "ckpt-00006"]
+
+
+def _group_counts(shard: pa.Table, slice_us: int, stratum) -> dict:
+    """{(slice, stratum, key): rows} of a row shard or a count shard."""
+    if "__count" in shard.column_names:
+        slices, weights = shard["__slice"].to_pylist(), shard["__count"].to_pylist()
+    else:
+        slices = (ts_to_us(shard["ts"]) // slice_us).tolist()
+        weights = [1] * shard.num_rows
+    strata = shard[stratum].to_pylist() if stratum else [None] * shard.num_rows
+    out: dict = {}
+    for g, w in zip(zip(slices, strata, shard["__key32"].to_pylist()), weights):
+        out[g] = out.get(g, 0) + w
+    return out
+
+
+class TestCombiner:
+    """Count-Min shards carry per-(slice, stratum, key) counts, combined in
+    the split: the same partials as the rows, from a fraction of the rows."""
+
+    @pytest.mark.parametrize("stratum", [None, "role"])
+    def test_count_shards_sum_to_kept_rows(self, ray_session, tiny_fixture, stratum):
+        from condor_ray.engine.streaming import _partition_fragment
+
+        key = KeySpec("conv_id", "java_hash")
+        shard_columns = sorted({"ts", "__key32", stratum} - {None})
+        slice_us = 60_000_000
+        n_late = salted = 0
+        for path in transcript_fragments(tiny_fixture)[1:]:
+            ts = ts_to_us(pq.read_table(path, columns=["ts"])["ts"])
+            wm = int(np.median(ts))  # a carry-in watermark that makes rows late
+            args = (path, 2, slice_us, wm, 3, ["conv_id", "role", "ts"], key,
+                    shard_columns)
+            meta, *rows = _partition_fragment(*args)
+            meta_c, *counts = _partition_fragment(*args, True)
+            assert meta_c == meta
+            n_late += meta["n_late"]
+            for r, c in zip(rows, counts):
+                assert c.column_names == ["__slice", *[stratum] * bool(stratum),
+                                          "__key32", "__count"]
+                assert c.num_rows * 2 <= r.num_rows
+                assert sum(c["__count"].to_pylist()) == r.num_rows
+                assert (_group_counts(c, slice_us, stratum)
+                        == _group_counts(r, slice_us, stratum))
+                sl = c["__slice"].to_numpy()
+                assert (np.diff(sl) >= 0).all()  # ordered by slice
+            # hot keys (over 3 rows) are salted: one key in both count shards
+            salted += len(set(counts[0]["__key32"].to_pylist())
+                          & set(counts[1]["__key32"].to_pylist()))
+        assert n_late > 0 and salted > 0
+
+    @pytest.mark.parametrize("params", [(65536, 5, 7), (8, 2, 7)], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("stratum", [None, "role"])
+    def test_count_shard_ingests_like_rows(self, params, stratum):
+        from condor_ray.state.store import PartitionStateStore
+
+        rng = np.random.default_rng(3)
+        n = 90
+        keys = np.array([-(2**31), -1, 0], dtype=np.int32)[rng.integers(0, 3, n)]
+        sid = 1_000 + rng.integers(0, 2, n)
+        rows = pa.table({
+            "ts": pa.array(sid * W_US + rng.integers(0, W_US, n)).cast(pa.timestamp("us")),
+            "__key32": keys,
+            "role": pa.array(rng.choice(["user", "assistant", None], n)),
+        })
+        counts = _group_counts(rows, W_US, stratum)
+        groups = sorted(counts, key=lambda g: (g[0], str(g[1]), g[2]))
+        shard = pa.table({
+            "__slice": pa.array([g[0] for g in groups], pa.int64()),
+            "role": pa.array([g[1] for g in groups], pa.string()),
+            "__key32": pa.array([g[2] for g in groups], pa.int32()),
+            "__count": pa.array([counts[g] for g in groups], pa.int32()),
+        })
+        assert shard.num_rows < n
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch", params=params, windows=[TumblingWindow(W_MS)],
+            stratify_by=stratum, parallelism=1,
+        )
+        a, b = (PartitionStateStore.__ray_actor_class__(0, cfg, W_US) for _ in "ab")
+        assert a.ingest(rows) == b.ingest(shard) == n
+        assert a.rows_ingested == b.rows_ingested == n
+        assert a.slice_counts == b.slice_counts
+        assert len(a.slices) == (2 if stratum is None else 6)
+        for k, syn in a.slices.items():
+            assert (syn._dense is not None) == (params[0] == 8)
+            assert b.slices[k].to_bytes() == syn.to_bytes(), k
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(windows=[TumblingWindow(W_MS)], stratify_by="role"),
+            dict(windows=[SlidingWindow(60_000, 30_000)], key=KeySpec("turn_idx", "value")),
+            dict(windows=[TumblingWindow(60_000)], key=KeySpec("text", "length")),
+            dict(windows=[TumblingWindow(200)], key=KeySpec("text", "java_hash")),
+        ],
+        ids=["stratified", "value_key", "length_key", "distinct_200ms"],
+    )
+    def test_runs_agree_with_row_shards(self, ray_session, tiny_fixture, tmp_path, cfg):
+        """Sequential, pipelined and checkpointed runs over count shards write
+        the emit files and manifest fragment lines of a run over rows."""
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch", params=(128, 3, 7), parallelism=2, **cfg
+        )
+        outs = {}
+        for mode, ckpt, pipelined in (
+            ("rows", None, False),
+            ("seq", None, False),
+            ("pipe", None, True),
+            ("ckpt", str(tmp_path / "ckpt-state"), None),
+        ):
+            out = str(tmp_path / mode)
+            job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
+            assert job.combine
+            job.combine = mode != "rows"
+            try:
+                job.run(frags, pipelined=pipelined)
+            finally:
+                job.shutdown()
+            with open(os.path.join(out, "manifest.jsonl")) as f:
+                lines = [line for line in f if '"fragment"' in line]
+            emits = {
+                f: open(os.path.join(out, f), "rb").read()
+                for f in sorted(os.listdir(out)) if f.startswith("emit-")
+            }
+            outs[mode] = (emits, lines)
+        assert len(outs["rows"][0]) > 2 and len(outs["rows"][1]) == len(frags)
+        for mode in ("seq", "pipe", "ckpt"):
+            assert outs[mode] == outs["rows"], mode
 
 
 class TestFlushKeepsWatermark:
