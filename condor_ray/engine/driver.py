@@ -119,9 +119,10 @@ def _footer_watermarks(paths: list[str], base: int, wm0: int):
     """``carry_in(i)``: max(wm0, max ts of paths[base:i]) from footer statistics.
     Footer reads go out in bounded waves and resolve lazily, just ahead of
     the split lookahead, so the first split waits on one footer read, never
-    on a whole-stream metadata prescan."""
+    on a whole-stream metadata prescan.  No carry-in reads the last
+    fragment's footer, so it is never read."""
     wave = max(64, 4 * cluster_cpus())
-    paths = paths[base:]
+    paths = paths[base:-1]
     pending = [_ts_stats_task.remote(p) for p in paths[:wave]]
     wms = [wm0]
 

@@ -32,6 +32,8 @@ the raw tail the combines consume directly — ``waves``, ``shard_tasks``,
 
 from __future__ import annotations
 
+import ray
+
 # Footprint of the most recent exchange on this driver (see module
 # docstring).  Read it right after the returned Dataset is consumed;
 # jobs / benches copy it into their manifests.
@@ -56,8 +58,6 @@ def split_by_partition(tbl, part, n_parts: int):
 
 
 def _wave_blocks() -> int:
-    import ray
-
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
@@ -81,6 +81,14 @@ def _fold_shards(*shards):
     return out, out.nbytes
 
 
+_fold_task = ray.remote(_fold_shards)
+
+
+@ray.remote
+def _tail_nbytes(*tables) -> int:
+    return sum(t.nbytes for t in tables)
+
+
 def _waved_shard(sides, n_buckets: int):
     """Shard every block of every side, wave-bounded.
 
@@ -92,10 +100,7 @@ def _waved_shard(sides, n_buckets: int):
     wave skips the fold — a single-wave exchange (tests, small inputs)
     therefore takes the exact zero-extra-copy path the pre-wave code took.
     """
-    import ray
-
     wave = _wave_blocks()
-    fold_task = ray.remote(num_returns=2)(_fold_shards)
     per: list[list[list]] = [[[] for _ in range(n_buckets)] for _ in sides]
     stats = {
         "n_buckets": n_buckets,
@@ -115,7 +120,7 @@ def _waved_shard(sides, n_buckets: int):
             for q in range(n_buckets):
                 shard_refs = [refs[q] for si, refs in buf if si == s]
                 if shard_refs:
-                    tref, nref = fold_task.remote(*shard_refs)
+                    tref, nref = _fold_task.options(num_returns=2).remote(*shard_refs)
                     per[s][q].append(tref)
                     size_refs.append(nref)
         live += sum(ray.get(size_refs)) if size_refs else 0
@@ -151,12 +156,11 @@ def _waved_shard(sides, n_buckets: int):
     # Size-only tasks read the shards zero-copy; the refs are resolved by
     # the caller AFTER the combines are submitted (no extra barrier).
     stats["tail_blocks"] = len(buf)
-    size_task = ray.remote(lambda *t: sum(x.nbytes for x in t))
     tail_size_refs = []
     for s, refs in buf:
         for q in range(n_buckets):
             per[s][q].append(refs[q])
-        tail_size_refs.append(size_task.remote(*refs))
+        tail_size_refs.append(_tail_nbytes.remote(*refs))
     stats["_tail_size_refs"] = tail_size_refs
     stats["_live_pre_tail"] = live
     return per, stats
@@ -165,8 +169,6 @@ def _waved_shard(sides, n_buckets: int):
 def _finalize_stats(stats: dict) -> dict:
     """Resolve the tail-size refs (call after submitting the combines) and
     fold them into the footprint numbers."""
-    import ray
-
     refs = stats.pop("_tail_size_refs", [])
     live = stats.pop("_live_pre_tail", 0)
     tail = sum(ray.get(refs)) if refs else 0
@@ -183,7 +185,6 @@ def hash_exchange(ds, n_buckets: int, shard, combine):
     one bucket.  Replaces ``groupby("part").map_groups`` for full-row
     streams (the sort-based groupby's range-sample + per-block sort costs
     multiples of the task fan-out at millions of rows)."""
-    import ray
     import ray.data as rd
 
     per, stats = _waved_shard([(ds, shard)], n_buckets)
@@ -210,7 +211,6 @@ def two_sided_hash_exchange(
     shards followed by its right shards (each side possibly pre-compacted
     by the wave fold — same rows, same order, fewer tables).  Returns a
     Dataset of the combined blocks."""
-    import ray
     import ray.data as rd
 
     per, stats = _waved_shard(

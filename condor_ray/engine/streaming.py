@@ -11,11 +11,16 @@ The Ray-native counterpart of Condor's Scotty path
   partitions, which is safe because mergeable-synopsis state is keyed by
   (stratum, slice), not by conv (SURVEY §4 skew row).
 - **Combiner**: a synopsis whose partial depends only on per-key counts
-  (one with ``update_weighted``: Count-Min) is pre-aggregated before the
-  shuffle.  After the late filter, salting and key extraction, one sort
-  groups the rows by (partition, slice, stratum, key), and the shards carry
-  one ``(__slice, [stratum], __key32, __count)`` row per group, which the
-  store applies as weights.  Shards of a few hundred rows travel inside the
+  (``Synopsis.combinable``) is pre-aggregated before the shuffle.  That is
+  Count-Min, whose counters are linear in the key counts, and HyperLogLog,
+  whose registers are idempotent per key (it ignores the counts).  After
+  the late filter, salting and key extraction, one sort groups the rows by
+  (partition, slice, stratum, key), and the shards carry one
+  ``(__slice, [stratum], __key32, __count)`` row per group, which the store
+  applies as weights.  The encoding is compact: ``__slice`` is a dictionary
+  over the shard's slice ids with int16 indices (int32 from 2^15 slices)
+  and ``__count`` the narrowest unsigned int that holds the shard's largest
+  count, so a group costs 7 bytes.  Shards under 100 KiB travel inside the
   task reply instead of the object store.  A fragment whose groups are more
   than half its rows (mostly distinct keys, sub-second slices) ships rows.
 - **Late rule**: applied in the split.  A row is late iff its slice end <=
@@ -144,9 +149,10 @@ def _count_shards(
 ) -> list | None:
     """The combiner: one row ``(__slice, [stratum], __key32, __count)`` per
     (partition, slice, stratum, key) group of the rows, ordered by slice
-    within each shard.  Keys ship as the int32 the Count-Min hash reads.
-    None when the groups are more than half the rows (the row shards are
-    then smaller and cheaper to apply) or span too many slices to pack."""
+    within each shard (``_count_table``).  Keys ship as the int32 the
+    synopsis hashes.  None when the groups are more than half the rows (the
+    row shards are then smaller and cheaper to apply) or span too many
+    slices to pack."""
     n = len(keys)
     s0 = int(sid.min()) if n else 0
     span = int(sid.max()) - s0 + 1 if n else 1
@@ -169,23 +175,50 @@ def _count_shards(
     if 2 * len(first) > n:
         return None
     packed = packed[first]
+    counts = np.diff(np.append(first, n))
     group = packed >> 32
-    strata = {}
     if stratum is not None:
         code = (group % n_codes).astype(np.int32)
         group //= n_codes
-        strata[stratum] = pa.DictionaryArray.from_arrays(
-            pa.array(code, mask=code == n_codes - 1), col.dictionary
-        )
-    counts = pa.table({
-        "__slice": group % span + s0,
-        **strata,
-        "__key32": packed.astype(np.uint32).view(np.int32),
-        "__count": np.diff(np.append(first, n)).astype(np.int32),
-    })
+    keys = packed.astype(np.uint32).view(np.int32)
     sizes = np.bincount(group // span, minlength=parallelism)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return [counts.slice(offsets[p], sizes[p]) for p in range(parallelism)]
+    shards = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        strata = {}
+        if stratum is not None:
+            c = code[lo:hi]
+            strata[stratum] = pa.DictionaryArray.from_arrays(
+                pa.array(c, mask=c == n_codes - 1), col.dictionary
+            )
+        shards.append(_count_table(
+            group[lo:hi] % span + s0, strata, keys[lo:hi], counts[lo:hi]
+        ))
+    return shards
+
+
+def _count_table(sid: np.ndarray, strata: dict, keys, counts) -> pa.Table:
+    """One compact count shard.  ``__slice`` is a dictionary over the
+    shard's slice ids, built from the runs of ``sid`` (the rows arrive
+    ordered by slice), with int16 indices (int32 from 2^15 slices);
+    ``__count`` is the narrowest unsigned int that holds the largest count.
+    A group costs 7 bytes (index, key, count) instead of 16."""
+    run = np.ones(len(sid), dtype=bool)
+    run[1:] = sid[1:] != sid[:-1]
+    index = np.cumsum(run) - 1
+    wide = len(index) > 0 and index[-1] >= 2**15 - 1  # 2^15 slices or more
+    top = int(counts.max()) if len(counts) else 0
+    return pa.table({
+        "__slice": pa.DictionaryArray.from_arrays(
+            pa.array(index.astype(np.int32 if wide else np.int16)),
+            pa.array(sid[run]),
+        ),
+        **strata,
+        "__key32": keys,
+        "__count": counts.astype(
+            np.uint8 if top < 2**8 else np.uint16 if top < 2**16 else np.uint32
+        ),
+    })
 
 
 def _partition_fragment(
@@ -441,11 +474,10 @@ class StreamingSynopsisJob(FragmentStreamJob):
         self.shard_columns = None if config.sample_elements else sorted(
             {"ts", "__key32", config.stratify_by} - {None}
         )
-        # a synopsis that takes weighted keys depends only on per-key
-        # counts: its shards ship counts, combined in the split
-        self.combine = not config.sample_elements and hasattr(
-            get_synopsis_class(config.synopsis), "update_weighted"
-        )
+        # a synopsis whose partial depends only on per-key counts ships
+        # count shards, combined in the split
+        self.combine = (not config.sample_elements
+                        and get_synopsis_class(config.synopsis).combinable)
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
         super().__init__(
             out_dir,

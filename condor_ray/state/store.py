@@ -27,6 +27,16 @@ from ..synopses.base import Synopsis
 from ..synopses.registry import make_synopsis
 
 
+def _decoded(col) -> np.ndarray:
+    """A shard column as one numpy array, dictionary chunks decoded."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    return np.concatenate([
+        c.dictionary.to_numpy()[c.indices.to_numpy()]
+        if pa.types.is_dictionary(c.type) else c.to_numpy()
+        for c in chunks
+    ])
+
+
 @ray.remote(num_cpus=0.5)
 class PartitionStateStore:
     """Holds dict[(stratum, slice_id)] -> synopsis for one partition."""
@@ -56,16 +66,21 @@ class PartitionStateStore:
     #    late-dropped upstream where arrival order is known) ---------------
     def ingest(self, batch: pa.Table) -> int:
         """Apply a row shard, or a count shard from the split's combiner
-        (one ``(__slice, [stratum], __key32, __count)`` row per group, its
-        counts applied as weights).  Returns the rows applied."""
+        (one ``(__slice, [stratum], __key32, __count)`` row per group, for a
+        ``combinable`` synopsis).  A count shard's ``__slice`` may be
+        dictionary-encoded and its ``__count`` any integer width; the counts
+        go to the synopsis as weights (Count-Min adds them, HyperLogLog
+        ignores them) and are added to ``slice_counts`` and
+        ``rows_ingested``, so a window's ``n_rows`` is its row count either
+        way.  Returns the rows applied."""
         _t0 = time.perf_counter()
         n = batch.num_rows
         if n == 0:
             return 0
         weights = None
         if "__count" in batch.column_names:
-            sid = batch["__slice"].to_numpy()
-            weights = batch["__count"].to_numpy()
+            sid = _decoded(batch["__slice"])
+            weights = _decoded(batch["__count"]).astype(np.int64)
         else:
             ts = ts_to_us(batch["ts"])
             sid = ts // self.slice_us

@@ -33,6 +33,10 @@ class Synopsis:
     invertible: bool = False
     timestamped: bool = False  # SamplerWithTimestamps marker
     order_based: bool = False  # non-mergeable, order-sensitive (wavelets)
+    # the partial depends only on each key's row count, so the streaming
+    # split may ship (key, count) groups instead of rows; such a class takes
+    # ``apply_precomputed(pre, idx, weights)``, one count per row of idx
+    combinable: bool = False
 
     def __init__(self):
         self.partition_value: Optional[Any] = None  # StratifiedSynopsis

@@ -25,6 +25,17 @@ from .base import Synopsis
 _FUSED_SPARSE_QUERY = 64
 
 
+def _key_index(values: np.ndarray):
+    """``(keys, inv)`` for a precompute that hashes each distinct key once:
+    the sorted distinct keys and each row's key index, or ``(values, None)``
+    when at least half the rows are distinct (hashing rows is then cheaper
+    than indexing them)."""
+    s = np.sort(values)
+    if np.count_nonzero(s[1:] != s[:-1]) * 2 >= len(values):
+        return values, None
+    return np.unique(values, return_inverse=True)
+
+
 class CountMinSketch(Synopsis):
     """Count-Min sketch (core/.../Sketches/CountMinSketch.java:23-270).
 
@@ -60,6 +71,7 @@ class CountMinSketch(Synopsis):
     mergeable = True
     invertible = True
     commutative = True  # counter adds commute; classified Invertible in the ref
+    combinable = True  # the counters are linear in the key counts
 
     def __init__(self, width: int, height: int, seed: int = 7):
         super().__init__()
@@ -213,11 +225,8 @@ class CountMinSketch(Synopsis):
     # are mostly distinct (``pre`` is then per row, with no key index).
     # Either way a slice's cost follows its own rows.
     def precompute_batch(self, values: np.ndarray):
-        s = np.sort(values)
-        if np.count_nonzero(s[1:] != s[:-1]) * 2 >= len(values):
-            return self._flat_indices(values).reshape(-1, self.height), None
-        uniq, inv = np.unique(values, return_inverse=True)
-        return self._flat_indices(uniq).reshape(-1, self.height), inv
+        keys, inv = _key_index(values)
+        return self._flat_indices(keys).reshape(-1, self.height), inv
 
     def apply_precomputed(self, pre, idx: np.ndarray, weights=None) -> None:
         """``weights``, one count per row of ``idx``, applies each row that
@@ -368,11 +377,22 @@ class HyperLogLogSketch(Synopsis):
     of the combined hash is always 0, so only the lower HALF of the register
     space is ever addressable.  Estimates are accurate for cardinalities well
     below m but saturate at ``m*ln(2)`` (the linear-counting value when half
-    the registers stay zero).  We reproduce this for output parity.
+    the registers stay zero).  We reproduce this for output parity.  It also
+    means the estimator's linear-counting branch always answers for such
+    sketches, so ``distinct_items_estimator`` counts the zero registers
+    first and skips the register sum when half of them are zero.
+
+    The registers depend only on the SET of keys a partial saw (a register
+    max is the same however often a key repeats), so the streaming split
+    may ship per-(slice, stratum, key) groups instead of rows
+    (``combinable``; ``apply_precomputed`` ignores their counts), and
+    ``precompute_batch`` hashes each distinct key of a batch once, unless
+    the keys are mostly distinct.
     """
 
     mergeable = True
     commutative = True
+    combinable = True  # the registers are idempotent per key
 
     def __init__(self, log_reg_num: int, seed: int = 7):
         super().__init__()
@@ -418,11 +438,18 @@ class HyperLogLogSketch(Synopsis):
         np.maximum.at(self.registers, index, zeros)
 
     # -- grouped-ingest fast path ------------------------------------------
+    # ``pre`` is (register index, register value, row -> key index or None),
+    # per distinct key or per row by Count-Min's rule (``_key_index``)
     def precompute_batch(self, values: np.ndarray):
-        return self._index_zeros(values)
+        keys, inv = _key_index(values)
+        return (*self._index_zeros(keys), inv)
 
-    def apply_precomputed(self, pre, idx: np.ndarray) -> None:
-        index, zeros = pre
+    def apply_precomputed(self, pre, idx: np.ndarray, weights=None) -> None:
+        """``weights`` (a combined shard's counts) are ignored: a register
+        max is the same however often a key repeats."""
+        index, zeros, inv = pre
+        if inv is not None:
+            idx = inv[idx]
         self._settle()
         np.maximum.at(self.registers, index[idx], zeros[idx])
 
@@ -442,16 +469,22 @@ class HyperLogLogSketch(Synopsis):
 
     def distinct_items_estimator(self) -> int:
         m = self.reg_num
-        alpha = {4: 0.673, 5: 0.697, 6: 0.709}.get(
-            self.log_reg_num, 0.7213 / (1 + (1.079 / m))
-        )
-        # ldexp yields the same exact powers of two as np.power(2.0, -r), so
-        # the (pairwise) sum is bit-identical, at a fraction of the cost
-        raw = 1.0 / np.ldexp(1.0, -self.registers.astype(np.int32)).sum()
-        raw = raw * alpha * m * m
-        result = math.floor(raw + 0.5)  # Math.round
         zero_regs = m - int(np.count_nonzero(self.registers))
-        if zero_regs > 0 and raw < 2.5 * m:
+        # with half the registers zero the sum below is at least m/2, so raw
+        # is at most 2*alpha*m < 2.5*m and linear counting answers: skip the
+        # sum (every sketch built by updates is here, by the abs-hash quirk)
+        linear = 2 * zero_regs >= m
+        if not linear:
+            alpha = {4: 0.673, 5: 0.697, 6: 0.709}.get(
+                self.log_reg_num, 0.7213 / (1 + (1.079 / m))
+            )
+            # ldexp yields the same exact powers of two as np.power(2.0, -r),
+            # so the (pairwise) sum is bit-identical, at a fraction of the cost
+            raw = 1.0 / np.ldexp(1.0, -self.registers.astype(np.int32)).sum()
+            raw = raw * alpha * m * m
+            result = math.floor(raw + 0.5)  # Math.round
+            linear = zero_regs > 0 and raw < 2.5 * m
+        if linear:
             result = math.floor(m * math.log(m / float(zero_regs)) + 0.5)
         self.distinct_item_count = result
         return result

@@ -1,5 +1,5 @@
 """Window algebra: tumbling / sliding (slice-based and bucketing) / session /
-count windows, with vectorized assignment over epoch-microsecond int64 arrays.
+count window definitions, and the slice <-> window maps of stream slicing.
 
 Reference semantics:
 - Tumbling: Flink ``timeWindow(size)`` aligned to the epoch
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 US_PER_MS = 1000
 
@@ -75,53 +73,8 @@ class CountWindow:
 Window = TumblingWindow | SlidingWindow | SessionWindow | CountWindow
 
 
-# -- vectorized assignment -------------------------------------------------
-
-def assign_tumbling(ts_us: np.ndarray, window: TumblingWindow) -> np.ndarray:
-    """window_id per row (int64). Bounds: [id*size, (id+1)*size)."""
-    return ts_us // window.size_us
-
-
-def tumbling_bounds(window_id: np.ndarray | int, window: TumblingWindow):
-    start = np.multiply(window_id, window.size_us)
-    return start, start + window.size_us
-
-
-def assign_sliding_bucketing(ts_us: np.ndarray, window: SlidingWindow):
-    """Bucketing path: each row joins every window containing it.
-
-    Returns (row_indices, window_ids): parallel arrays, one entry per
-    (row, window) pair — the caller repeats the row's values.
-    Window w spans [w*slide, w*slide + size).
-
-    Documented deviation: window ids are clamped at 0, so a row with
-    ts < size - slide joins fewer windows than Flink's sliding assigner
-    (which also emits the negative-start windows reaching back past the
-    epoch).  Real streams carry epoch-us timestamps ~1.7e15, where the
-    first size/slide windows of year 1970 never occur; the oracle SQL
-    twins clamp the same way (``windows_of_slice`` mirrors this with its
-    ``w >= 0`` floor).
-    """
-    n = len(ts_us)
-    k = window.windows_per_row
-    w_max = ts_us // window.slide_us
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    wids = (w_max[:, None] - np.arange(k, dtype=np.int64)[None, :]).ravel()
-    starts = wids * window.slide_us
-    valid = (wids >= 0) & (starts + window.size_us > ts_us[rows]) & (starts <= ts_us[rows])
-    return rows[valid], wids[valid]
-
-
-def sliding_bounds(window_id: np.ndarray | int, window: SlidingWindow):
-    start = np.multiply(window_id, window.slide_us)
-    return start, start + window.size_us
-
-
-def assign_slices(ts_us: np.ndarray, slice_us: int) -> np.ndarray:
-    """Scotty-style stream slicing: slice_id = ts // slice_len.  One partial
-    synopsis per slice serves every window definition that overlaps it."""
-    return ts_us // slice_us
-
+# -- stream slicing: slice_id = ts // slice_us, one partial per slice serves
+#    every window definition that overlaps it ---------------------------------
 
 def windows_of_slice(slice_id: int, slice_us: int, window: SlidingWindow) -> list[int]:
     """All sliding-window ids whose span covers the given slice."""
@@ -145,13 +98,3 @@ def slices_of_window(window_id: int, window: SlidingWindow, slice_us: int) -> ra
     start = window_id * window.slide_us
     end = start + window.size_us
     return range(start // slice_us, -(-end // slice_us))
-
-
-def sessionize(ts_us_sorted: np.ndarray, gap_us: int) -> np.ndarray:
-    """Session ordinals for ts-sorted rows of ONE key: a new session starts
-    when the gap to the previous row is >= gap (Flink session semantics:
-    windows merge while gap < sessionGap)."""
-    if len(ts_us_sorted) == 0:
-        return np.empty(0, dtype=np.int64)
-    gaps = np.diff(ts_us_sorted)
-    return np.concatenate([[0], np.cumsum(gaps >= gap_us)]).astype(np.int64)

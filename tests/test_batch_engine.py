@@ -176,7 +176,7 @@ class TestSessionSynopses:
     def test_session_synopsis_parity(self, ray_session, tiny_fixture, tiny_df):
         from condor_ray.pipelines.sessions import session_synopses
         from condor_ray.synopses import CountMinSketch, Synopsis
-        from condor_ray.windows import sessionize
+        from test_windows import sessionize
 
         ds = read_transcripts(tiny_fixture)
         out = session_synopses(ds, gap_ms=30_000).to_pandas()

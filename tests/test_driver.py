@@ -339,3 +339,41 @@ def test_result_dataset_reads_only_its_emits(ray_session, tiny_fixture, tmp_path
         got.sort_values(keys).reset_index(drop=True),
         expected.sort_values(keys).reset_index(drop=True),
     )
+
+
+@pytest.mark.parametrize("n_frags", [1, 4])
+def test_no_footer_read_for_the_last_fragment(
+    ray_session, tiny_fixture, tmp_path, monkeypatch, n_frags
+):
+    """A pipelined run reads the footers of its fragments but the last (no
+    carry-in watermark needs it), and writes the manifest fragment lines of
+    a sequential run."""
+    from condor_ray.engine import driver
+    from condor_ray.engine.streaming import StreamingSynopsisJob
+
+    read = []
+
+    class Counting:
+        def remote(self, path):
+            read.append(path)
+            return task.remote(path)
+
+    task = driver._ts_stats_task
+    monkeypatch.setattr(driver, "_ts_stats_task", Counting())
+    frags = transcript_fragments(tiny_fixture)[:n_frags]
+    cfg = BuildConfiguration(
+        synopsis="CountMinSketch", params=(128, 3, 7), windows=[TumblingWindow(W_MS)],
+        parallelism=2,
+    )
+    lines = {}
+    for pipelined in (False, True):
+        out = str(tmp_path / str(pipelined))
+        job = StreamingSynopsisJob(cfg, out)
+        try:
+            job.run(frags, pipelined=pipelined)
+        finally:
+            job.shutdown()
+        with open(os.path.join(out, "manifest.jsonl")) as f:
+            lines[pipelined] = [line for line in f if '"fragment"' in line]
+    assert read == frags[:-1]
+    assert len(lines[True]) == n_frags and lines[True] == lines[False]

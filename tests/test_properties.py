@@ -338,3 +338,68 @@ def test_count_min_grouped_apply_matches_eager(shape, ops):
             _ = new[i].array, ref[i].array
         for a, b in zip(new, ref):
             assert a.to_bytes() == b.to_bytes()
+
+
+def _estimate_with_sum(registers: np.ndarray, log_reg_num: int) -> int:
+    """The estimator as it reads without the zero-register shortcut: the
+    register sum first, linear counting below 2.5m."""
+    m = len(registers)
+    alpha = {4: 0.673, 5: 0.697, 6: 0.709}.get(log_reg_num, 0.7213 / (1 + (1.079 / m)))
+    raw = 1.0 / np.ldexp(1.0, -registers.astype(np.int32)).sum()
+    raw = raw * alpha * m * m
+    result = math.floor(raw + 0.5)
+    zero_regs = m - int(np.count_nonzero(registers))
+    if zero_regs > 0 and raw < 2.5 * m:
+        result = math.floor(m * math.log(m / float(zero_regs)) + 0.5)
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 16),
+    st.sampled_from(["half", "half_minus_one", "all", "none", "one", "random"]),
+    _SEED,
+)
+def test_hll_estimator_shortcut_is_exact(log_reg_num, zeros, seed):
+    """Counting the zero registers first and skipping the sum when half are
+    zero gives the estimate of the full computation, bit for bit, on both
+    sides of m/2 zeros; a stale merged sketch serializes the same bytes."""
+    rng = np.random.default_rng(seed)
+    m = 1 << log_reg_num
+    n_zero = {"half": m // 2, "half_minus_one": m // 2 - 1, "all": m, "none": 0,
+              "one": 1, "random": int(rng.integers(0, m + 1))}[zeros]
+    registers = rng.integers(1, 66, m).astype(np.int8)
+    registers[rng.permutation(m)[:n_zero]] = 0
+    h = HyperLogLogSketch(log_reg_num, 7)
+    h.registers = registers.copy()
+    assert h.distinct_items_estimator() == _estimate_with_sum(registers, log_reg_num)
+
+    # a merge leaves the estimate stale: to_bytes settles it to the same value
+    split = rng.integers(0, 2, m).astype(bool)
+    a, b = HyperLogLogSketch(log_reg_num, 7), HyperLogLogSketch(log_reg_num, 7)
+    a.registers = np.where(split, registers, 0).astype(np.int8)
+    b.registers = np.where(split, 0, registers).astype(np.int8)
+    a.merge(b)
+    eager = a.copy()
+    eager.distinct_item_count = _estimate_with_sum(registers, log_reg_num)
+    assert a.to_bytes() == eager.to_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 10, 16]), _KEYS, st.integers(1, 30), _SEED)
+def test_hll_grouped_apply_matches_update(log_reg_num, keys, mult, seed):
+    """apply_precomputed over distinct-key hashing (repeated keys) or row
+    hashing (mostly distinct keys), with or without counts, leaves the
+    bytes of update_batch over the same rows."""
+    rng = np.random.default_rng(seed)
+    values = rng.permutation(np.repeat(np.asarray(keys, dtype=np.int32), mult))
+    idx = np.flatnonzero(rng.integers(0, 2, len(values)))
+    pre = HyperLogLogSketch(log_reg_num, 7).precompute_batch(values)
+    # Count-Min's rule: rows when the distinct-key boundaries are half the rows
+    assert (pre[2] is None) == ((len(np.unique(values)) - 1) * 2 >= len(values))
+    ref = HyperLogLogSketch(log_reg_num, 7)
+    ref.update_batch(values[idx])
+    for weights in (None, rng.integers(1, 9, len(idx))):
+        h = HyperLogLogSketch(log_reg_num, 7)
+        h.apply_precomputed(pre, idx, weights)
+        assert h.to_bytes() == ref.to_bytes()

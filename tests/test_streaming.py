@@ -428,8 +428,9 @@ def _group_counts(shard: pa.Table, slice_us: int, stratum) -> dict:
 
 
 class TestCombiner:
-    """Count-Min shards carry per-(slice, stratum, key) counts, combined in
-    the split: the same partials as the rows, from a fraction of the rows."""
+    """Count-Min and HyperLogLog shards carry per-(slice, stratum, key)
+    counts, combined in the split: the same partials as the rows, from a
+    fraction of the rows, in a compact encoding."""
 
     @pytest.mark.parametrize("stratum", [None, "role"])
     def test_count_shards_sum_to_kept_rows(self, ray_session, tiny_fixture, stratum):
@@ -505,16 +506,35 @@ class TestCombiner:
             dict(windows=[SlidingWindow(60_000, 30_000)], key=KeySpec("turn_idx", "value")),
             dict(windows=[TumblingWindow(60_000)], key=KeySpec("text", "length")),
             dict(windows=[TumblingWindow(200)], key=KeySpec("text", "java_hash")),
+            dict(synopsis="HyperLogLogSketch", params=(16, 7),
+                 windows=[SlidingWindow(5_000, 2_500)]),
+            dict(synopsis="HyperLogLogSketch", params=(10, 7),
+                 windows=[SlidingWindow(20_000, 10_000)], stratify_by="role"),
         ],
-        ids=["stratified", "value_key", "length_key", "distinct_200ms"],
+        ids=["stratified", "value_key", "length_key", "distinct_200ms",
+             "hll_sliding", "hll_stratified"],
     )
     def test_runs_agree_with_row_shards(self, ray_session, tiny_fixture, tmp_path, cfg):
         """Sequential, pipelined and checkpointed runs over count shards write
         the emit files and manifest fragment lines of a run over rows."""
         frags = transcript_fragments(tiny_fixture)
-        cfg = BuildConfiguration(
-            synopsis="CountMinSketch", params=(128, 3, 7), parallelism=2, **cfg
-        )
+        cfg = BuildConfiguration(**{
+            "synopsis": "CountMinSketch", "params": (128, 3, 7), "parallelism": 2, **cfg
+        })
+        if cfg.synopsis == "HyperLogLogSketch":
+            # the HLL configs ship count shards for some fragments, not all
+            from condor_ray.engine.streaming import _partition_fragment
+
+            job = StreamingSynopsisJob(cfg, str(tmp_path / "probe"))
+            job.shutdown()
+            kinds = {
+                "__count" in _partition_fragment(
+                    path, 2, job.slice_us, -(2**62), None, job.columns, cfg.key,
+                    job.shard_columns, True,
+                )[1].column_names
+                for path in frags
+            }
+            assert kinds == {True, False}
         outs = {}
         for mode, ckpt, pipelined in (
             ("rows", None, False),
@@ -540,6 +560,118 @@ class TestCombiner:
         assert len(outs["rows"][0]) > 2 and len(outs["rows"][1]) == len(frags)
         for mode in ("seq", "pipe", "ckpt"):
             assert outs[mode] == outs["rows"], mode
+
+
+    @staticmethod
+    def _stores_agree(cfg, rows: pa.Table, shard: pa.Table, n_slices: int):
+        """A store fed ``rows`` and one fed the count ``shard`` hold equal
+        slice partials, slice counts and row totals."""
+        from condor_ray.state.store import PartitionStateStore
+
+        a, b = (PartitionStateStore.__ray_actor_class__(0, cfg, W_US) for _ in "ab")
+        n = rows.num_rows
+        assert a.ingest(rows) == b.ingest(shard) == n
+        assert a.rows_ingested == b.rows_ingested == n
+        assert a.slice_counts == b.slice_counts
+        assert len(a.slices) == n_slices
+        for k, syn in a.slices.items():
+            assert b.slices[k].to_bytes() == syn.to_bytes(), k
+
+    @staticmethod
+    def _combined(rows: pa.Table, stratum=None) -> pa.Table:
+        """The one count shard the split's combiner makes of ``rows``."""
+        from condor_ray.engine.streaming import _count_shards
+
+        n = rows.num_rows
+        sid = ts_to_us(rows["ts"]) // W_US
+        shards = _count_shards(rows, np.zeros(n, dtype=np.int64), sid,
+                               rows["__key32"].to_numpy(), stratum, 1)
+        assert shards is not None and len(shards) == 1
+        return shards[0]
+
+    @staticmethod
+    def _rows(sid: np.ndarray, keys: np.ndarray, rng, role=False) -> pa.Table:
+        cols = {
+            "ts": pa.array(sid * W_US + rng.integers(0, W_US, len(sid))).cast(
+                pa.timestamp("us")),
+            "__key32": pa.array(keys.astype(np.int32)),
+        }
+        if role:
+            cols["role"] = pa.array(rng.choice(["user", "assistant", None], len(sid)))
+        return pa.table(cols)
+
+    @pytest.mark.parametrize("stratum", [None, "role"])
+    def test_hll_count_shard_ingests_like_rows(self, stratum):
+        """HyperLogLog takes count shards too: the counts reach slice_counts
+        and rows_ingested, and the registers are those of the rows."""
+        rng = np.random.default_rng(5)
+        n = 600
+        keys = rng.integers(-(2**31), 2**31, 40)[rng.integers(0, 40, n)]
+        rows = self._rows(1_000 + rng.integers(0, 3, n), keys, rng, role=True)
+        shard = self._combined(rows, stratum)
+        assert shard.num_rows * 2 <= n
+        assert pa.types.is_dictionary(shard["__slice"].type)
+        assert shard["__count"].type == pa.uint8()
+        cfg = BuildConfiguration(
+            synopsis="HyperLogLogSketch", params=(10, 7), windows=[TumblingWindow(W_MS)],
+            stratify_by=stratum, parallelism=1,
+        )
+        self._stores_agree(cfg, rows, shard, 3 if stratum is None else 9)
+
+    @pytest.mark.parametrize(
+        "top, width",
+        [(255, pa.uint8()), (256, pa.uint16()), (65_535, pa.uint16()),
+         (65_536, pa.uint32())],
+    )
+    def test_count_width_edges(self, top, width):
+        """``__count`` is the narrowest unsigned int that holds the largest
+        count of the shard, and the store reads every width."""
+        rng = np.random.default_rng(top)
+        keys = np.concatenate([np.full(top, 7), rng.integers(100, 120, 300)])
+        sid = np.concatenate([np.full(top, 40), 40 + rng.integers(0, 2, 300)])
+        rows = self._rows(sid, keys, rng)
+        shard = self._combined(rows)
+        assert shard["__count"].type == width
+        assert max(shard["__count"].to_pylist()) == top
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch", params=(64, 3, 7), windows=[TumblingWindow(W_MS)],
+            parallelism=1,
+        )
+        self._stores_agree(cfg, rows, shard, 2)
+
+    @pytest.mark.parametrize(
+        "n_slices, index", [(2**15 - 1, pa.int16()), (2**15 + 1, pa.int32())]
+    )
+    def test_slice_index_width_edges(self, n_slices, index):
+        """``__slice`` indexes the shard's slice ids with int16, or int32 from
+        2^15 slices on."""
+        rng = np.random.default_rng(1)
+        sid = np.repeat(3 + 7 * np.arange(n_slices), 2)  # two rows a slice
+        rows = self._rows(sid, np.zeros(len(sid)), rng)
+        shard = self._combined(rows)
+        assert shard["__slice"].type.index_type == index
+        assert shard["__slice"].to_pylist() == sid[::2].tolist()
+        cfg = BuildConfiguration(
+            synopsis="HyperLogLogSketch", params=(4, 7), windows=[TumblingWindow(W_MS)],
+            parallelism=1,
+        )
+        self._stores_agree(cfg, rows, shard, n_slices)
+
+    def test_multi_chunk_count_shard(self):
+        """A count shard whose ``__slice`` has several chunks, each with its
+        own dictionary, ingests like its rows."""
+        rng = np.random.default_rng(2)
+        parts = [
+            self._rows(lo + rng.integers(0, 3, 200), rng.integers(0, 30, 200), rng)
+            for lo in (10, 12)
+        ]
+        shard = pa.concat_tables([self._combined(r) for r in parts])
+        assert shard["__slice"].num_chunks == 2
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch", params=(4096, 3, 7), windows=[TumblingWindow(W_MS)],
+            parallelism=1,
+        )
+        self._stores_agree(cfg, pa.concat_tables(parts), shard, 5)
 
 
 class TestFlushKeepsWatermark:

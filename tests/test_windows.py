@@ -1,4 +1,5 @@
-"""Window-algebra helpers: assignment, bounds, slicing consistency."""
+"""Window algebra: per-row assignment oracles (tumbling, sliding buckets,
+slices, sessions) and their consistency with the library's slice maps."""
 
 import numpy as np
 import pytest
@@ -6,15 +7,55 @@ import pytest
 from condor_ray.windows import (
     SlidingWindow,
     TumblingWindow,
-    assign_slices,
-    assign_sliding_bucketing,
-    assign_tumbling,
-    sessionize,
     slices_of_window,
-    sliding_bounds,
-    tumbling_bounds,
     windows_of_slice,
 )
+
+
+# -- per-row window assignment over epoch-microsecond int64 arrays ----------
+
+def assign_tumbling(ts_us: np.ndarray, window: TumblingWindow) -> np.ndarray:
+    """window_id per row (int64). Bounds: [id*size, (id+1)*size)."""
+    return ts_us // window.size_us
+
+
+def tumbling_bounds(window_id, window: TumblingWindow):
+    start = np.multiply(window_id, window.size_us)
+    return start, start + window.size_us
+
+
+def assign_sliding_bucketing(ts_us: np.ndarray, window: SlidingWindow):
+    """Bucketing: each row joins every window containing it.  Returns
+    parallel (row_indices, window_ids); window w spans [w*slide, w*slide +
+    size).  Window ids are clamped at 0, as ``windows_of_slice`` floors at
+    ``w >= 0`` (Flink's assigner would also emit negative-start windows)."""
+    n = len(ts_us)
+    k = window.windows_per_row
+    w_max = ts_us // window.slide_us
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    wids = (w_max[:, None] - np.arange(k, dtype=np.int64)[None, :]).ravel()
+    starts = wids * window.slide_us
+    valid = (wids >= 0) & (starts + window.size_us > ts_us[rows]) & (starts <= ts_us[rows])
+    return rows[valid], wids[valid]
+
+
+def sliding_bounds(window_id, window: SlidingWindow):
+    start = np.multiply(window_id, window.slide_us)
+    return start, start + window.size_us
+
+
+def assign_slices(ts_us: np.ndarray, slice_us: int) -> np.ndarray:
+    """Scotty-style stream slicing: slice_id = ts // slice_len."""
+    return ts_us // slice_us
+
+
+def sessionize(ts_us_sorted: np.ndarray, gap_us: int) -> np.ndarray:
+    """Session ordinals for ts-sorted rows of ONE key: a new session starts
+    when the gap to the previous row is >= gap (Flink session semantics)."""
+    if len(ts_us_sorted) == 0:
+        return np.empty(0, dtype=np.int64)
+    gaps = np.diff(ts_us_sorted)
+    return np.concatenate([[0], np.cumsum(gaps >= gap_us)]).astype(np.int64)
 
 
 def test_tumbling_assignment_and_bounds():
