@@ -9,11 +9,14 @@ and supplies only its own parts:
   ``[meta_ref, *shard_refs]``, one shard per state actor.  ``meta`` holds
   ``n_rows``, ``frag_max_ts``, optionally ``frag_min_ts``, and ``n_late``
   when the split applies the late rule (``late_at_ingest = False``).
-- ``_ingest(k, shards, wm)`` submits the actors' ingest calls.
+- ``_ingest(k, shards, wm)`` submits the actors' ingest calls (an engine
+  that keeps its state as object refs keeps the shards instead), and
+  ``_resolved(k, meta)`` sees each meta once it resolves.
 - ``_close(wm, idx)`` submits one close cycle at watermark ``wm`` and returns
   a ref to the number of rows it emits, or None.  Most engines pass their
   actors' close tables to ``_emit``, the shared atomic sink.
-- ``_flush_wm()`` (the end-of-input close horizon), ``emit_prefix``,
+- ``parallelism`` (a checkpoint resumes only at the same value),
+  ``_flush_wm()`` (the end-of-input close horizon), ``emit_prefix``,
   ``emit_sort``, ``emit_schema``, ``emitted_key``, and ``_summary(stats)``
   over the results of each actor's ``stats_call`` (submitted before the
   final drain and resolved with it).
@@ -31,9 +34,9 @@ The driver owns the rest:
   Watermark-free splits (late rule at ingest) only prefetch: each ingest goes
   out in order with the resolved carry-in watermark.  A split that applies
   the late rule feeds its actors at once; running ahead, its carry-in
-  watermark comes from the footer statistics (``fragment_ts_stats``), which
-  give the same maxima.  A checkpointed run must not run ahead: a snapshot
-  would hold later fragments.
+  watermark comes from the footer statistics (``fragment_ts_stats``, read
+  in-process), which give the same maxima.  A checkpointed run must not run
+  ahead: a snapshot would hold later fragments.
 - **Sink**: close cycles are async tasks that write ``emit_path(k)``
   (``{prefix}-f{k:05d}.parquet``) atomically, so a replayed fragment rewrites
   byte-identical files.  Emits drain every 32 and before each checkpoint;
@@ -45,9 +48,10 @@ The driver owns the rest:
   every ``run()``, a summary line; ``run()`` returns its fields plus
   ``fragments``.
 - **Checkpoint/resume** (with ``checkpoint_dir``): every
-  ``checkpoint_every`` fragments the actor snapshots and the cursor go to
-  ``ckpt-{next_fragment:05d}``; ``resume()`` restores the newest and cuts the
-  manifest back to it (``checkpoint.py``).
+  ``checkpoint_every`` fragments the engine's state (``_save_state``: the
+  actor snapshots by default) and the cursor go to
+  ``ckpt-{next_fragment:05d}``; ``resume()`` restores the newest
+  (``_load_state``) and cuts the manifest back to it (``checkpoint.py``).
 - The final flush, ``result_dataset()`` (the files of ``emitted_closes``;
   typed and empty when nothing was emitted) and ``shutdown()``.
 """
@@ -63,7 +67,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from ..runtime import cluster_cpus
 from ..stages.extract import ts_to_us
 from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
 from .emit import atomic_emit
@@ -117,22 +120,15 @@ _ts_stats_task = ray.remote(fragment_ts_stats)
 
 def _footer_watermarks(paths: list[str], base: int, wm0: int):
     """``carry_in(i)``: max(wm0, max ts of paths[base:i]) from footer statistics.
-    Footer reads go out in bounded waves and resolve lazily, just ahead of
-    the split lookahead, so the first split waits on one footer read, never
-    on a whole-stream metadata prescan.  No carry-in reads the last
-    fragment's footer, so it is never read."""
-    wave = max(64, 4 * cluster_cpus())
-    paths = paths[base:-1]
-    pending = [_ts_stats_task.remote(p) for p in paths[:wave]]
+    Each footer is read in-process, the first time a carry-in needs it (a
+    read costs far less than a task round trip), so the first split waits on
+    one footer read, never on a whole-stream metadata prescan.  No carry-in
+    reads the last fragment's footer, so it is never read."""
     wms = [wm0]
 
     def carry_in(i: int) -> int:
         while len(wms) <= i - base:
-            j = len(wms) - 1
-            if j + wave < len(paths):
-                pending.append(_ts_stats_task.remote(paths[j + wave]))
-            wms.append(max(wms[-1], ray.get(pending[j])[1]))
-            pending[j] = None
+            wms.append(max(wms[-1], fragment_ts_stats(paths[base + len(wms) - 1])[1]))
         return wms[i - base]
 
     return carry_in
@@ -186,6 +182,9 @@ class FragmentStreamJob:
         args = (wm,) if self.late_at_ingest else ()
         return [s.ingest.remote(sh, *args) for s, sh in zip(self.stores, shards)]
 
+    def _resolved(self, k: int, meta: dict) -> None:
+        """Fragment k's split meta has resolved."""
+
     def _flush_wm(self) -> int:
         return POS_INF
 
@@ -229,6 +228,7 @@ class FragmentStreamJob:
             if self.late_at_ingest:
                 refs = [refs[0], *self._ingest(k, refs[1:], self.watermark)]
             meta, *done = ray.get(refs)
+            self._resolved(k, meta)
             late = sum(done) if self.late_at_ingest else meta["n_late"]
             self.total_rows += meta["n_rows"]
             self.total_late += late
@@ -284,21 +284,34 @@ class FragmentStreamJob:
 
     # -- checkpoint/resume ---------------------------------------------------
     def _checkpoint(self) -> None:
-        snaps = ray.get([s.snapshot.remote() for s in self.stores])
         name = f"ckpt-{self.next_fragment:05d}"
         tmp = os.path.join(self.checkpoint_dir, ".tmp-" + name)
         final = os.path.join(self.checkpoint_dir, name)
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
-        for p, blob in enumerate(snaps):
-            with open(os.path.join(tmp, f"part-{p:04d}.bin"), "wb") as f:
-                f.write(blob)
+        self._save_state(tmp)
         meta = {f: getattr(self, f) for f in self.cursor_fields}
         with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump({**meta, "parallelism": len(self.stores)}, f)
+            json.dump({**meta, "parallelism": self.parallelism}, f)
         shutil.rmtree(final, ignore_errors=True)
         os.rename(tmp, final)
         prune_checkpoints(self.checkpoint_dir)
+
+    def _save_state(self, tmp: str) -> None:
+        """Write the engine's state into the checkpoint directory ``tmp``:
+        each actor's snapshot as ``part-{p:04d}.bin``."""
+        snaps = ray.get([s.snapshot.remote() for s in self.stores])
+        for p, blob in enumerate(snaps):
+            with open(os.path.join(tmp, f"part-{p:04d}.bin"), "wb") as f:
+                f.write(blob)
+
+    def _load_state(self, path: str) -> None:
+        """Restore what ``_save_state`` wrote into ``path``."""
+        futs = []
+        for p, store in enumerate(self.stores):
+            with open(os.path.join(path, f"part-{p:04d}.bin"), "rb") as f:
+                futs.append(store.restore.remote(f.read()))
+        ray.get(futs)
 
     def resume(self) -> bool:
         """Restore the newest checkpoint; returns True if one was found."""
@@ -307,13 +320,9 @@ class FragmentStreamJob:
             return False
         with open(os.path.join(path, "meta.json")) as f:
             meta = json.load(f)
-        if meta["parallelism"] != len(self.stores):
+        if meta["parallelism"] != self.parallelism:
             raise ValueError("cannot resume with a different parallelism")
-        futs = []
-        for p, store in enumerate(self.stores):
-            with open(os.path.join(path, f"part-{p:04d}.bin"), "rb") as f:
-                futs.append(store.restore.remote(f.read()))
-        ray.get(futs)
+        self._load_state(path)
         for f in self.cursor_fields:
             if f in meta:
                 setattr(self, f, meta[f])

@@ -1,38 +1,58 @@
-"""Streaming synopsis job: hash-partitioned state-store actors build sliced
-mergeable synopses over the fragment stream that ``driver.py`` walks.
+"""Streaming synopsis job: sliced mergeable synopses over the fragment
+stream that ``driver.py`` walks.
 
 The Ray-native counterpart of Condor's Scotty path
-(conn/.../processor/SynopsisBuilder.java:298-342 + KeyedScottyWindowOperator):
+(conn/.../processor/SynopsisBuilder.java:298-342 + KeyedScottyWindowOperator).
+Slice state has one of two layouts:
 
-- **Partitioning**: an explicit shuffle.  A split task per fragment cuts it
-  into P shards by ``murmur(hash32(conv_id)) % P`` (one Ray object per
-  shard, so each shard moves only to its actor).  Hot conversations (rows in
-  fragment > ``hot_key_threshold``) are salted round-robin across
-  partitions, which is safe because mergeable-synopsis state is keyed by
-  (stratum, slice), not by conv (SURVEY §4 skew row).
-- **Combiner**: a synopsis whose partial depends only on per-key counts
-  (``Synopsis.combinable``) is pre-aggregated before the shuffle.  That is
-  Count-Min, whose counters are linear in the key counts, and HyperLogLog,
-  whose registers are idempotent per key (it ignores the counts).  After
-  the late filter, salting and key extraction, one sort groups the rows by
-  (partition, slice, stratum, key), and the shards carry one
-  ``(__slice, [stratum], __key32, __count)`` row per group, which the store
-  applies as weights.  The encoding is compact: ``__slice`` is a dictionary
-  over the shard's slice ids with int16 indices (int32 from 2^15 slices)
-  and ``__count`` the narrowest unsigned int that holds the shard's largest
-  count, so a group costs 7 bytes.  Shards under 100 KiB travel inside the
-  task reply instead of the object store.  A fragment whose groups are more
-  than half its rows (mostly distinct keys, sub-second slices) ships rows.
+- **Cells**, for a synopsis whose partial depends only on per-key counts
+  (``Synopsis.combinable``): Count-Min, whose counters are linear in the key
+  counts, and HyperLogLog, whose registers are idempotent per key.  The job
+  keeps no actors.  Its state is a list of Arrow cell tables that the driver
+  holds as object refs: one per fragment since the last close, plus one
+  carry table of the slices still open.
+- **Objects**, for every other synopsis (and for ``job.combine = False``,
+  set before the first ``run``): P ``PartitionStateStore`` actors hold one
+  synopsis per (stratum, slice) (``state/store.py``).
+
+The parts:
+
+- **Partitioning**: a split task per fragment routes each row by
+  ``murmur(hash32(conv_id)) % P``.  Hot conversations (rows in fragment >
+  ``hot_key_threshold``) are salted round-robin across partitions, which is
+  safe because mergeable-synopsis state is keyed by (stratum, slice), not by
+  conv (SURVEY §4 skew row).  The object layout cuts P row shards (one Ray
+  object each, so each shard moves only to its actor).  In the cell layout
+  the routed partition is only a column, ``__part``, which HyperLogLog's
+  preserved merge quirk reads (see Window close).
+- **Combiner** (cell layout): after the late filter, salting and key
+  extraction, one sort groups the fragment's rows by (slice, stratum,
+  partition, key), and the split returns one cell table with a row
+  ``(__slice, [__stratum], __part, __key32, __count)`` per group.  The
+  encoding is compact: ``__slice`` is a dictionary over the table's slice
+  ids with int16 indices (int32 from 2^15 slices), ``__stratum`` a
+  dictionary over the stratum labels of ``stratum_codes``, and ``__part``
+  and ``__count`` the narrowest unsigned ints that hold their values.
 - **Late rule**: applied in the split.  A row is late iff its slice end <=
   the carry-in watermark (the max-seen assigner of
   bench/.../sources/utils/SyntheticTimestampsAndWatermarks.java:17-28, at
   fragment granularity); late rows are dropped and counted, so late-by-20s
   rows never reach closed windows.
 - **Window close**: window w closes when watermark >= end(w).  Its slices
-  are frozen by then (any update to them would be late), so the close cycle
-  snapshots slice partials from all P stores and one task merges them per
-  slice, then per window, and writes ``emit-f{k:05d}.parquet``.  Slices are
-  evicted once no remaining window needs them.
+  are frozen by then (any update to them would be late).  In the object
+  layout the close cycle snapshots slice partials from all P stores, and one
+  task merges them per slice, then per window.  In the cell layout one task
+  (``_merge_and_emit``) reads the cell tables of fragments <= k: over the
+  rows of the closing windows' slices, it hashes each distinct key once,
+  reduces the cells per (stratum, slice) in one sort, folds each window
+  from its slices and builds only the synopses it emits.  Either way the task writes ``emit-f{k:05d}.parquet``,
+  with the same bytes: a Count-Min window is sparse iff nnz*3 <
+  width*height, and a HyperLogLog window caches its estimate iff it folds
+  two or more (partition, slice) partials (the reference's merge caches it;
+  an unmerged partial holds 0).  Slices are evicted once no remaining window
+  needs them: the cell close also returns the rows of the slices that stay
+  open, which replace the tables it read, and ``_DRAIN_EVERY`` fragments
+  without a close are folded the same way, so live state stays bounded.
 
 This module also holds the conv-hash routing every streaming splitter shares
 (``conv_partition_ids``, ``split_by_conv``).
@@ -40,6 +60,8 @@ This module also holds the conv-hash routing every streaming splitter shares
 
 from __future__ import annotations
 
+import json
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -49,13 +71,14 @@ import ray
 from ..config import BuildConfiguration
 from ..hashing import java_string_hash_arrow
 from ..runtime import cluster_cpus
-from ..stages.extract import stable_partition_order, ts_to_us
+from ..stages.extract import stable_partition_order, stratum_codes, ts_to_us
 from ..state.store import PartitionStateStore
 from ..synopses.base import Synopsis
-from ..synopses.registry import get_synopsis_class
+from ..synopses.registry import get_synopsis_class, make_synopsis
+from ..synopses.sketches import CountMinSketch, HyperLogLogSketch
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
 from .batch import _common_slice_us, _window_kind
-from .driver import NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
+from .driver import _DRAIN_EVERY, NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
 from .emit import write_atomic
 
 
@@ -93,22 +116,21 @@ def conv_partition_ids(conv_col, parallelism: int):
     column: ``murmur(java_hash(conv)) % P`` with nulls on the hash-0 route
     (the hashing.py convention).  Shared by every streaming splitter — the
     NaN-dictionary-index crash was fixed here once; keep it single-sourced.
-    Returns ``(part, codes, dic)``: per-row partition ids, per-row
-    dictionary codes (null rows = len(dic.dictionary)), and the encoded
-    column for callers that inspect key frequencies."""
+    Returns ``(part, codes, dic, hashes)``: per-row partition ids, per-row
+    dictionary codes (null rows = len(dic.dictionary)), the encoded column
+    for callers that inspect key frequencies, and the java hash of each code
+    (0 for the null code), so ``hashes[codes]`` is the column's
+    ``KeySpec(..., "java_hash")`` key."""
     if isinstance(conv_col, pa.ChunkedArray):
         conv_col = conv_col.combine_chunks()
     dic = conv_col.dictionary_encode()
     hashes = java_string_hash_arrow(dic.dictionary)
-    lut = _murmur_mix_array(hashes) % parallelism
     idx_arr = dic.indices
     if idx_arr.null_count:
-        lut = np.append(
-            lut, _murmur_mix_array(np.zeros(1, dtype=np.int64)) % parallelism
-        )
+        hashes = np.append(hashes, np.int32(0))
         idx_arr = idx_arr.fill_null(len(dic.dictionary))
     codes = idx_arr.to_numpy(zero_copy_only=False).astype(np.int64)
-    return lut[codes], codes, dic
+    return (_murmur_mix_array(hashes) % parallelism)[codes], codes, dic, hashes
 
 
 def _cut_shards(table: pa.Table, part: np.ndarray, parallelism: int) -> list:
@@ -130,7 +152,7 @@ def split_by_conv(path: str, parallelism: int, columns: list[str] | None):
     """Watermark-free split: P shards by conv hash, for the engines whose
     late rule runs at actor ingest.  Returns (meta, shard_0..shard_{P-1})."""
     table = pq.read_table(path, columns=columns)
-    part, _, _ = conv_partition_ids(table["conv_id"], parallelism)
+    part = conv_partition_ids(table["conv_id"], parallelism)[0]
     return (_ts_meta(ts_to_us(table["ts"])), *_cut_shards(table, part, parallelism))
 
 
@@ -143,82 +165,101 @@ def submit_split_by_conv(path: str, parallelism: int, columns: list[str] | None)
     )
 
 
-def _count_shards(
-    table: pa.Table, part: np.ndarray, sid: np.ndarray, keys: np.ndarray,
-    stratum: str | None, parallelism: int,
-) -> list | None:
-    """The combiner: one row ``(__slice, [stratum], __key32, __count)`` per
-    (partition, slice, stratum, key) group of the rows, ordered by slice
-    within each shard (``_count_table``).  Keys ship as the int32 the
-    synopsis hashes.  None when the groups are more than half the rows (the
-    row shards are then smaller and cheaper to apply) or span too many
-    slices to pack."""
-    n = len(keys)
-    s0 = int(sid.min()) if n else 0
-    span = int(sid.max()) - s0 + 1 if n else 1
-    n_codes = 1
-    if stratum is not None:
-        col = table[stratum].combine_chunks()
-        if not pa.types.is_dictionary(col.type):
-            col = col.dictionary_encode()
-        n_codes = len(col.dictionary) + 1  # the last code is null
-    if parallelism * span * n_codes >= 2**31:
-        return None  # a fragment spanning ~2^31 slices: rows are no bigger
-    group = part * span + (sid - s0)  # partition, then slice, then stratum
-    if stratum is not None:
-        codes = col.indices.fill_null(n_codes - 1).to_numpy().astype(np.int64)
-        group = group * n_codes + codes
-    # the group above the key's 32 bits: one int64 sort finds every group
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values of ``a`` starts."""
+    if not len(a):
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
+
+
+def _grouped(group: np.ndarray, keys: np.ndarray, counts: np.ndarray | None = None):
+    """The distinct (group, key) pairs of the rows in (group, key) order,
+    and each pair's rows (``counts`` None) or summed ``counts``: one int64
+    sort with the group above the key's 32 bits (groups from 2^31 on are
+    ranked first)."""
+    ranks = None
+    if len(group) and int(group.max()) >= 2**31:
+        ranks, group = np.unique(group, return_inverse=True)
     keys = np.ascontiguousarray(keys, dtype=np.int32)
-    packed = np.sort((group << 32) | keys.view(np.uint32))
-    first = np.flatnonzero(np.concatenate([[True], packed[1:] != packed[:-1]]))
-    if 2 * len(first) > n:
-        return None
+    packed = (group.astype(np.int64) << 32) | keys.view(np.uint32)
+    if counts is None:
+        packed = np.sort(packed)
+    else:
+        order = np.argsort(packed)
+        packed, counts = packed[order], counts[order]
+    first = _run_starts(packed)
+    if counts is None:
+        counts = np.diff(np.append(first, len(packed)))
+    elif len(first):
+        counts = np.add.reduceat(counts, first)
     packed = packed[first]
-    counts = np.diff(np.append(first, n))
     group = packed >> 32
-    if stratum is not None:
-        code = (group % n_codes).astype(np.int32)
-        group //= n_codes
-    keys = packed.astype(np.uint32).view(np.int32)
-    sizes = np.bincount(group // span, minlength=parallelism)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    shards = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        strata = {}
-        if stratum is not None:
-            c = code[lo:hi]
-            strata[stratum] = pa.DictionaryArray.from_arrays(
-                pa.array(c, mask=c == n_codes - 1), col.dictionary
-            )
-        shards.append(_count_table(
-            group[lo:hi] % span + s0, strata, keys[lo:hi], counts[lo:hi]
-        ))
-    return shards
+    return (group if ranks is None else ranks[group],
+            packed.astype(np.uint32).view(np.int32), counts)
 
 
-def _count_table(sid: np.ndarray, strata: dict, keys, counts) -> pa.Table:
-    """One compact count shard.  ``__slice`` is a dictionary over the
-    shard's slice ids, built from the runs of ``sid`` (the rows arrive
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` as the narrowest unsigned int that holds their maximum."""
+    top = int(values.max()) if len(values) else 0
+    return values.astype(
+        np.uint8 if top < 2**8 else np.uint16 if top < 2**16 else np.uint32
+    )
+
+
+def _count_table(sid: np.ndarray, strata: dict, part, keys, counts) -> pa.Table:
+    """One compact cell table.  ``__slice`` is a dictionary over the
+    table's slice ids, built from the runs of ``sid`` (the rows arrive
     ordered by slice), with int16 indices (int32 from 2^15 slices);
-    ``__count`` is the narrowest unsigned int that holds the largest count.
-    A group costs 7 bytes (index, key, count) instead of 16."""
+    ``__part`` and ``__count`` are the narrowest unsigned ints that hold
+    their largest value, so a group costs 8 bytes (index, partition, key,
+    count)."""
     run = np.ones(len(sid), dtype=bool)
     run[1:] = sid[1:] != sid[:-1]
     index = np.cumsum(run) - 1
     wide = len(index) > 0 and index[-1] >= 2**15 - 1  # 2^15 slices or more
-    top = int(counts.max()) if len(counts) else 0
     return pa.table({
         "__slice": pa.DictionaryArray.from_arrays(
             pa.array(index.astype(np.int32 if wide else np.int16)),
-            pa.array(sid[run]),
+            pa.array(sid[run], type=pa.int64()),
         ),
         **strata,
+        "__part": _narrow(part),
         "__key32": keys,
-        "__count": counts.astype(
-            np.uint8 if top < 2**8 else np.uint16 if top < 2**16 else np.uint32
-        ),
+        "__count": _narrow(counts),
     })
+
+
+def _count_cells(
+    table: pa.Table, part: np.ndarray, sid: np.ndarray, keys: np.ndarray,
+    stratum: str | None, parallelism: int,
+) -> tuple[pa.Table, list]:
+    """The combiner: the fragment's cell table, one row per (slice, stratum,
+    partition, key) group of the rows, ordered by slice (``_count_table``).
+    Keys ship as the int32 the synopsis hashes, strata as their
+    ``stratum_codes`` labels.  Also returns, per partition, the (slice,
+    stratum label) pairs the rows touch."""
+    labels, code = [""], 0
+    if stratum is not None:
+        code, labels = stratum_codes(table[stratum])
+    s0 = int(sid.min()) if len(sid) else 0
+    # slice, then stratum, then partition
+    group = ((sid - s0) * len(labels) + code) * parallelism + part
+    group, keys, counts = _grouped(group, keys)
+    first = _run_starts(group)
+    part = group % parallelism
+    group //= parallelism
+    code = group % len(labels)
+    sid = group // len(labels) + s0
+    strata = {}
+    if stratum is not None:
+        strata["__stratum"] = pa.DictionaryArray.from_arrays(
+            pa.array(code.astype(np.int32)), pa.array(labels, type=pa.string())
+        )
+    touched: list[set] = [set() for _ in range(parallelism)]
+    for s, c, p in zip(sid[first].tolist(), code[first].tolist(),
+                       part[first].tolist()):
+        touched[p].add((s, labels[c]))
+    return _count_table(sid, strata, part, keys, counts), [sorted(t) for t in touched]
 
 
 def _partition_fragment(
@@ -232,16 +273,19 @@ def _partition_fragment(
     shard_columns: list[str] | None = None,
     combine: bool = False,
 ):
-    """Split one fragment into P shards by conv hash; drop+count late rows.
+    """Split one fragment by conv hash; drop+count late rows.
 
-    ``shard_columns`` projects the shards onto the columns their store reads
-    (None: every column read).  The routing column is used here and need
-    not ship.  With ``combine`` (and a ``key_spec``) the shards carry
-    per-(slice, stratum, key) counts instead of rows (``_count_shards``);
-    the stratum is the shard column other than ts and __key32, if any.
+    Without ``combine``: returns (meta_dict, shard_0, ..., shard_{P-1}) —
+    row shards as separate return values, so Ray ships each one only to its
+    partition's actor.  ``shard_columns`` projects the shards onto the
+    columns their store reads (None: every column read); the routing column
+    is used here and need not ship.
 
-    Returns (meta_dict, shard_0, ..., shard_{P-1}) — shards are separate
-    return values so Ray ships each one only to its partition's actor."""
+    With ``combine`` (and a ``key_spec``): returns (meta_dict, cells), the
+    fragment's cell table (``_count_cells``); the stratum is the shard column
+    other than ts and __key32, if any.  ``meta`` then also holds
+    ``part_rows`` (rows kept per partition) and ``groups`` (the (slice,
+    stratum label) pairs of each partition)."""
     dict_cols = [
         c for c in (columns or ["conv_id", "role", "tool", "text"])
         if c in ("conv_id", "role", "tool", "text")
@@ -259,7 +303,7 @@ def _partition_fragment(
         table = table.filter(pa.array(~late))
         ts = ts[~late]
 
-    part, codes, dic = conv_partition_ids(table["conv_id"], parallelism)
+    part, codes, dic, hashes = conv_partition_ids(table["conv_id"], parallelism)
 
     if hot_key_threshold is not None and len(dic.dictionary):
         counts = np.bincount(codes, minlength=len(dic.dictionary))
@@ -273,20 +317,23 @@ def _partition_fragment(
             ) % parallelism
 
     if key_spec is not None:
-        # compute the synopsis key here (once) so the state actors don't
-        # re-hash; lands in the shards as __key32
-        from ..stages.extract import KeyExtractor
+        # compute the synopsis key here (once) so the state doesn't re-hash;
+        # conv_id's java hash is the routing hash, already computed
+        if (key_spec.field, key_spec.transform) == ("conv_id", "java_hash"):
+            key_col = hashes[codes]
+        else:
+            from ..stages.extract import KeyExtractor
 
-        key_col = KeyExtractor(key_spec)(table)
+            key_col = KeyExtractor(key_spec)(table)
         if combine:
             stratum = next(
                 (c for c in shard_columns or () if c not in ("ts", "__key32")), None
             )
-            shards = _count_shards(
+            cells, meta["groups"] = _count_cells(
                 table, part, ts // slice_us, key_col, stratum, parallelism
             )
-            if shards is not None:
-                return (meta, *shards)
+            meta["part_rows"] = np.bincount(part, minlength=parallelism).tolist()
+            return meta, cells
         table = table.append_column(
             "__key32", pa.array(np.ascontiguousarray(key_col))
         )
@@ -298,13 +345,204 @@ def _partition_fragment(
 _partition_task = ray.remote(_partition_fragment)
 
 
-@ray.remote
+def _decode_cells(tables) -> dict | None:
+    """The rows of several cell tables as numpy arrays over one slice and
+    one stratum numbering: ``slices`` (sorted distinct slice ids) and
+    ``labels`` (sorted stratum labels, ``[""]`` unstratified), and per row
+    ``rank`` (into slices), ``lab`` (into labels), ``part``, ``key`` and
+    ``count``.  None when there are no rows."""
+    batches = [b for t in tables for b in t.to_batches() if b.num_rows]
+    if not batches:
+        return None
+    slices = np.unique(np.concatenate(
+        [b["__slice"].dictionary.to_numpy() for b in batches]
+    ))
+    stratified = "__stratum" in batches[0].schema.names
+    labels = sorted(
+        {v for b in batches for v in b["__stratum"].dictionary.to_pylist()}
+    ) if stratified else [""]
+    at = {v: i for i, v in enumerate(labels)}
+    cols: dict[str, list] = {"rank": [], "lab": [], "part": [], "key": [], "count": []}
+    for b in batches:
+        s = b["__slice"]
+        lut = np.searchsorted(slices, s.dictionary.to_numpy())
+        cols["rank"].append(lut[s.indices.to_numpy()])
+        if stratified:
+            st = b["__stratum"]
+            lut = np.array([at[v] for v in st.dictionary.to_pylist()], dtype=np.int64)
+            cols["lab"].append(lut[st.indices.to_numpy()])
+        else:
+            cols["lab"].append(np.zeros(b.num_rows, dtype=np.int64))
+        cols["part"].append(b["__part"].to_numpy().astype(np.int64))
+        cols["key"].append(b["__key32"].to_numpy())
+        cols["count"].append(b["__count"].to_numpy().astype(np.int64))
+    out = {k: np.concatenate(v) for k, v in cols.items()}
+    return {**out, "slices": slices, "labels": labels, "stratified": stratified}
+
+
+def _carry(c: dict, slice_us: int, horizon: int) -> pa.Table:
+    """The rows of the slices that stay open (end > ``horizon``), one per
+    (slice, stratum, partition, key) with the counts summed."""
+    keep = (c["slices"][c["rank"]] + 1) * slice_us > horizon
+    n_labels, n_parts = len(c["labels"]), int(c["part"].max()) + 1
+    group = (c["rank"][keep] * n_labels + c["lab"][keep]) * n_parts + c["part"][keep]
+    group, keys, counts = _grouped(group, c["key"][keep], c["count"][keep])
+    part = group % n_parts
+    group //= n_parts
+    strata = {}
+    if c["stratified"]:
+        strata["__stratum"] = pa.DictionaryArray.from_arrays(
+            pa.array((group % n_labels).astype(np.int32)),
+            pa.array(c["labels"], type=pa.string()),
+        )
+    return _count_table(c["slices"][group // n_labels], strata, part, keys, counts)
+
+
+def _slice_cells(c: dict, proto: Synopsis, group: np.ndarray):
+    """Every (group, cell) of the rows reduced once, in one sort: Count-Min
+    counters summed, HyperLogLog registers maxed.  Returns the groups, the
+    cells (sorted within each group) and the values."""
+    pre = proto.precompute_batch(c["key"])  # each distinct key hashed once
+    if isinstance(proto, HyperLogLogSketch):
+        index, zeros, inv = pre
+        if inv is not None:
+            index, zeros = index[inv], zeros[inv]
+        n_cells = proto.reg_num
+        # the register value (<= 65) rides below the cell: the last entry of
+        # each run of a sorted (group, cell) is its maximum
+        s = np.sort(((group * n_cells + index) << 7) | zeros)
+        packed = s >> 7
+        last = np.flatnonzero(np.concatenate([packed[1:] != packed[:-1], [True]]))
+        packed, value = packed[last], (s[last] & 127).astype(np.int8)
+    else:
+        flat, inv = pre
+        cells = flat if inv is None else flat[inv]
+        n_cells = proto.width * proto.height
+        packed = (group[:, None] * n_cells + cells).ravel()
+        order = np.argsort(packed)
+        packed = packed[order]
+        first = _run_starts(packed)
+        value = np.add.reduceat(np.repeat(c["count"], proto.height)[order], first)
+        packed = packed[first]
+    return packed // n_cells, packed % n_cells, value
+
+
+@ray.remote(num_returns=2)
 def _merge_and_emit(
+    emit_path: str, emit_spec: list[dict], synopsis_type: str, params: tuple,
+    slice_us: int, horizon: int, *cells: pa.Table,
+) -> tuple[int, pa.Table]:
+    """The cell layout's close: fold each window of ``emit_spec`` from the
+    cell tables, write the emission file atomically, and keep the rows of
+    the slices that end after ``horizon``.  Returns (emitted (window,
+    stratum) rows, carry table).  An empty ``emit_spec`` only folds."""
+    c = _decode_cells(cells)
+    if c is None:
+        return 0, _count_table(np.empty(0, np.int64), {}, np.empty(0, np.int64),
+                               np.empty(0, np.int32), np.empty(0, np.int64))
+    carry = _carry(c, slice_us, horizon)
+    if not emit_spec:
+        return 0, carry
+    # only the rows of the closing windows' slices are hashed and folded
+    first = np.searchsorted(c["slices"], [s["slices"][0] for s in emit_spec])
+    last = np.searchsorted(c["slices"], [s["slices"][-1] for s in emit_spec], "right")
+    rows = (c["rank"] >= first.min()) & (c["rank"] < last.max())
+    if not rows.any():
+        return 0, carry
+    c.update({k: c[k][rows] for k in ("rank", "lab", "part", "key", "count")})
+    proto = make_synopsis(synopsis_type, params)
+    hll = isinstance(proto, HyperLogLogSketch)
+    n_slices, n_labels = len(c["slices"]), len(c["labels"])
+    # stratum, then slice: the slices of a window are adjacent groups
+    group = c["lab"] * n_slices + c["rank"]
+    ranked = n_labels * n_slices > 4 * len(group) + 1024  # a sparse grid
+    if ranked:
+        gids, group = np.unique(group, return_inverse=True)
+    n_groups = len(gids) if ranked else n_labels * n_slices
+    rows_at = np.concatenate([[0], np.cumsum(
+        np.bincount(group, weights=c["count"], minlength=n_groups).astype(np.int64)
+    )])
+    if hll:  # (partition, slice) partials per window: the estimate quirk
+        n_parts = int(c["part"].max()) + 1
+        present = np.bincount(group * n_parts + c["part"], minlength=n_groups * n_parts)
+        partials_at = np.concatenate([[0], np.cumsum(
+            np.count_nonzero(present.reshape(n_groups, n_parts), axis=1)
+        )])
+    cell_group, cell, value = _slice_cells(c, proto, group)
+    bounds = np.searchsorted(cell_group, np.arange(n_groups + 1))
+
+    kinds, starts, ends, strs, payloads, counts = [], [], [], [], [], []
+    for li, label in enumerate(c["labels"]):
+        lo, hi = li * n_slices + first, li * n_slices + last
+        if ranked:
+            lo, hi = np.searchsorted(gids, lo), np.searchsorted(gids, hi)
+        for spec, g0, g1 in zip(emit_spec, lo.tolist(), hi.tolist()):
+            n = int(rows_at[g1] - rows_at[g0])
+            if not n:
+                continue  # empty window: reference emits nothing
+            idx, val = cell[bounds[g0]:bounds[g1]], value[bounds[g0]:bounds[g1]]
+            if hll:
+                regs = np.zeros(proto.reg_num, dtype=np.int8)
+                np.maximum.at(regs, idx, val)
+                syn = HyperLogLogSketch.from_registers(
+                    *params, registers=regs,
+                    estimate=partials_at[g1] - partials_at[g0] >= 2,
+                    partition_value=label or None,
+                )
+            else:
+                if g1 - g0 > 1:  # several slices: sum their counters
+                    idx, val = _summed(idx, val, proto.width * proto.height)
+                syn = CountMinSketch.from_cells(
+                    *params, cells=idx, counters=val, elements_processed=n,
+                    partition_value=label or None,
+                )
+            kinds.append(spec["kind"])
+            starts.append(spec["start"])
+            ends.append(spec["start"] + spec["size"])
+            strs.append(label or None)
+            payloads.append(syn.to_bytes())
+            counts.append(n)
+    _write_emit(emit_path, synopsis_type, kinds, starts, ends, strs, payloads, counts)
+    return len(kinds), carry
+
+
+def _summed(idx: np.ndarray, val: np.ndarray, n_cells: int):
+    """Distinct cells of ``idx``, sorted, with their ``val`` summed: into a
+    sketch-sized scratch once the cells reach 1/8 of the sketch, else by a
+    sort."""
+    if len(idx) * 8 >= n_cells:
+        dense = np.bincount(idx, weights=val, minlength=n_cells).astype(np.int64)
+        nz = np.flatnonzero(dense)
+        return nz, dense[nz]
+    order = np.argsort(idx)
+    idx = idx[order]
+    first = _run_starts(idx)
+    return idx[first], np.add.reduceat(val[order], first)
+
+
+def _write_emit(emit_path, synopsis_type, kinds, starts, ends, strs, payloads, counts):
+    n = len(kinds)
+    if n:
+        write_atomic(emit_path, pa.table(
+            {
+                "window_kind": pa.array(kinds, type=pa.string()),
+                "window_start": pa.array(starts, type=pa.int64()),
+                "window_end": pa.array(ends, type=pa.int64()),
+                "stratum": pa.array(strs, type=pa.string()),
+                "synopsis_type": pa.array([synopsis_type] * n, type=pa.string()),
+                "payload": pa.array(payloads, type=pa.binary()),
+                "n_rows": pa.array(counts, type=pa.int64()),
+            }
+        ))
+
+
+@ray.remote
+def _merge_partials_and_emit(
     emit_path: str, emit_spec: list[dict], synopsis_type: str, *tables: pa.Table
 ) -> int:
-    """Conquer step off the driver: merge per-partition slice partials, merge
-    slices into windows per emit_spec, write the emission file atomically.
-    Returns the number of emitted (window, stratum) rows."""
+    """The object layout's close, off the driver: merge per-partition slice
+    partials, merge slices into windows per emit_spec, write the emission
+    file atomically.  Returns the number of emitted (window, stratum) rows."""
     merged: dict[tuple[str, int], tuple[Synopsis, int]] = {}
     for t in tables:
         for stratum, sid, payload, cnt in zip(
@@ -391,21 +629,8 @@ def _merge_and_emit(
             strs.append(stratum or None)
             payloads.append(rolling.to_bytes())
             counts.append(rolling_n)
-    n = len(kinds)
-    if n:
-        out = pa.table(
-            {
-                "window_kind": pa.array(kinds, type=pa.string()),
-                "window_start": pa.array(starts, type=pa.int64()),
-                "window_end": pa.array(ends, type=pa.int64()),
-                "stratum": pa.array(strs, type=pa.string()),
-                "synopsis_type": pa.array([synopsis_type] * n, type=pa.string()),
-                "payload": pa.array(payloads, type=pa.binary()),
-                "n_rows": pa.array(counts, type=pa.int64()),
-            }
-        )
-        write_atomic(emit_path, out)
-    return n
+    _write_emit(emit_path, synopsis_type, kinds, starts, ends, strs, payloads, counts)
+    return len(kinds)
 
 
 def _evict_horizon(wm_us: int, windows, slice_us: int) -> int:
@@ -429,8 +654,9 @@ def _evict_horizon(wm_us: int, windows, slice_us: int) -> int:
 
 
 class StreamingSynopsisJob(FragmentStreamJob):
-    """Sliced mergeable synopses: P ``PartitionStateStore`` actors hold
-    (stratum, slice) partials, and each close cycle merges the frozen slices
+    """Sliced mergeable synopses: cell tables for ``combinable`` synopses,
+    else P ``PartitionStateStore`` actors holding (stratum, slice) partials
+    (see the module docstring).  Each close cycle merges the frozen slices
     of every window the watermark has passed."""
 
     late_at_ingest = False
@@ -458,9 +684,9 @@ class StreamingSynopsisJob(FragmentStreamJob):
         self.slice_us = _common_slice_us(self.windows)
         self.parallelism = config.parallelism
         # the split partitions on conv_id and watermarks on ts, and the
-        # stores key/stratify on the configured columns: union them into any
-        # caller-provided projection, so a non-default key cannot KeyError
-        # inside the first split task
+        # state keys/stratifies on the configured columns: union them into
+        # any caller-provided projection, so a non-default key cannot
+        # KeyError inside the first split task
         need = {"conv_id", "ts"}
         if config.sample_elements:
             need.add("turn_idx")  # _element_keys joins (conv_id, turn_idx)
@@ -474,17 +700,21 @@ class StreamingSynopsisJob(FragmentStreamJob):
         self.shard_columns = None if config.sample_elements else sorted(
             {"ts", "__key32", config.stratify_by} - {None}
         )
-        # a synopsis whose partial depends only on per-key counts ships
-        # count shards, combined in the split
+        # a synopsis whose partial depends only on per-key counts keeps its
+        # state as cell tables (set False before the first run for stores)
         self.combine = (not config.sample_elements
                         and get_synopsis_class(config.synopsis).combinable)
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
-        super().__init__(
-            out_dir,
-            [PartitionStateStore.remote(p, config, self.slice_us)
-             for p in range(self.parallelism)],
-            checkpoint_dir, checkpoint_every,
-        )
+        # the cell layout: live (fragment, cell table ref) pairs, where a
+        # close's carry stands at the fragment it closed; and the run
+        # summary's per-partition figures, replayed from ``_events``
+        self.cells: list[tuple[int, ray.ObjectRef]] = []
+        self._events: list[tuple[str, int]] = []
+        self._groups: dict[int, list] = {}
+        self._rows = [0] * self.parallelism
+        self._live: list[set] = [set() for _ in range(self.parallelism)]
+        self._max_live = [0] * self.parallelism
+        super().__init__(out_dir, [], checkpoint_dir, checkpoint_every)
 
     def run(
         self,
@@ -493,17 +723,27 @@ class StreamingSynopsisJob(FragmentStreamJob):
         final_flush: bool = True,
         pipelined: bool | None = None,
     ) -> dict:
-        """``pipelined`` (default: True unless checkpointing) runs splits and
-        ingests max(4, 2 x CPUs) fragments ahead, with carry-in watermarks from
-        the footer statistics.  Its output equals the sequential run's: the
-        late filter depends only on each fragment's carry-in watermark, and
-        slice ingest commutes across fragments."""
+        """``pipelined`` (default: True unless checkpointing) runs splits
+        max(4, 2 x CPUs) fragments ahead, with carry-in watermarks from the
+        footer statistics.  Its output equals the sequential run's: the late
+        filter depends only on each fragment's carry-in watermark, a close
+        reads only the cells of fragments up to its own, and slice ingest
+        commutes across fragments."""
+        if not self.combine and not self.stores:
+            self.stores = [PartitionStateStore.remote(p, self.config, self.slice_us)
+                           for p in range(self.parallelism)]
+        # a run that raised may have left cells of fragments it did not take in
+        self.cells = [(i, r) for i, r in self.cells if i < self.next_fragment]
+        self._events = [e for e in self._events
+                        if e[0] == "evict" or e[1] < self.next_fragment]
         pipelined = self.checkpoint_dir is None and pipelined is not False
         lookahead = 1 + max(4, 2 * cluster_cpus()) if pipelined else 1
         return self._run(fragment_paths, resume, final_flush, lookahead)
 
     def _split(self, k: int, path: str, wm: int) -> list:
-        return _partition_task.options(num_returns=1 + self.parallelism).remote(
+        return _partition_task.options(
+            num_returns=2 if self.combine else 1 + self.parallelism
+        ).remote(
             path,
             self.parallelism,
             self.slice_us,
@@ -515,11 +755,21 @@ class StreamingSynopsisJob(FragmentStreamJob):
             self.combine,
         )
 
-    def _close(self, wm: int, idx: int):
-        """Emit every window whose end <= ``wm`` and not yet emitted: an async
-        merge+emit task fed directly by the stores' slice snapshots (the
-        driver never touches synopsis payloads)."""
-        emit_spec: list[dict] = []  # grouped by window definition, ascending
+    def _ingest(self, k: int, shards: list, wm: int) -> list:
+        if not self.combine:
+            return super()._ingest(k, shards, wm)
+        self.cells.append((k, shards[0]))
+        self._events.append(("add", k))
+        return []
+
+    def _resolved(self, k: int, meta: dict) -> None:
+        if self.combine:
+            self._groups[k] = (meta["groups"], meta["part_rows"])
+
+    def _emit_spec(self, wm: int) -> list[dict]:
+        """Every window whose end <= ``wm`` and not yet emitted, grouped by
+        window definition with ascending starts."""
+        emit_spec: list[dict] = []
         for wi, w in enumerate(self.windows):
             stride = w.size_us if isinstance(w, TumblingWindow) else w.slide_us
             if self.closed_through[wi] != _NEG_INF:
@@ -536,25 +786,100 @@ class StreamingSynopsisJob(FragmentStreamJob):
                 })
                 wid += 1
             self.closed_through[wi] = wid
-        if not emit_spec:
-            return None
-        needed = sorted({s for spec in emit_spec for s in spec["slices"]})
+        return emit_spec
+
+    def _close(self, wm: int, idx: int):
+        """Emit the windows ``_emit_spec(wm)`` lists: an async merge+emit task
+        fed directly by the stores' slice snapshots or by the live cell
+        tables (the driver never touches synopsis payloads)."""
+        emit_spec = self._emit_spec(wm)
         horizon = _evict_horizon(wm, self.windows, self.slice_us)
-        table_refs = [
-            s.collect_closed_slices_snapshot.remote(needed, horizon)
-            for s in self.stores
-        ]
-        return _merge_and_emit.remote(
-            self.emit_path(idx), emit_spec, self.config.synopsis, *table_refs
+        if not self.combine:
+            if not emit_spec:
+                return None
+            needed = sorted({s for spec in emit_spec for s in spec["slices"]})
+            table_refs = [
+                s.collect_closed_slices_snapshot.remote(needed, horizon)
+                for s in self.stores
+            ]
+            return _merge_partials_and_emit.remote(
+                self.emit_path(idx), emit_spec, self.config.synopsis, *table_refs
+            )
+        live = [r for i, r in self.cells if i <= idx]
+        if not emit_spec and len(live) <= _DRAIN_EVERY:
+            return None
+        n, carry = _merge_and_emit.remote(
+            self.emit_path(idx), emit_spec, self.config.synopsis, self.config.params,
+            self.slice_us, horizon, *live,
         )
+        self.cells = [(idx, carry)] + [(i, r) for i, r in self.cells if i > idx]
+        self._events.append(("evict", horizon))
+        return n if emit_spec else None
 
     def _flush_wm(self) -> int:
         # just past the last window containing data (a literal +inf would
         # make the close loop enumerate windows forever)
         return self.watermark + max(w.size_us for w in self.windows) + self.slice_us
 
+    def _account(self) -> None:
+        """Replay the ingests and evictions since the last call, in the order
+        the driver submitted them, into the per-partition figures: rows
+        ingested, live (slice, stratum) pairs and their high-water mark (a
+        store's ``stats``)."""
+        for kind, arg in self._events:
+            if kind == "add":
+                groups, rows = self._groups.pop(arg)
+                for p, touched in enumerate(groups):
+                    self._rows[p] += rows[p]
+                    if touched:
+                        self._live[p].update(map(tuple, touched))
+                        self._max_live[p] = max(self._max_live[p], len(self._live[p]))
+            else:
+                for live in self._live:
+                    live -= {g for g in live if (g[0] + 1) * self.slice_us <= arg}
+        self._events.clear()
+
     def _summary(self, stats: list) -> dict:
-        return {"partitions": stats}
+        if not self.combine:
+            return {"partitions": stats}
+        self._account()
+        return {"partitions": [
+            {"partition_id": p, "rows_ingested": self._rows[p],
+             "open_slices": len(self._live[p]), "max_open_slices": self._max_live[p],
+             "ingest_sec": 0.0, "collect_sec": 0.0}
+            for p in range(self.parallelism)
+        ]}
+
+    # -- checkpoint/resume of the cell layout --------------------------------
+    def _save_state(self, tmp: str) -> None:
+        if not self.combine:
+            return super()._save_state(tmp)
+        self._account()
+        for i, table in enumerate(ray.get([r for _, r in self.cells])):
+            with pa.OSFile(os.path.join(tmp, f"cells-{i:04d}.arrow"), "wb") as f:
+                with pa.ipc.new_file(f, table.schema) as w:
+                    w.write_table(table)
+        with open(os.path.join(tmp, "partitions.json"), "w") as f:
+            json.dump({"rows": self._rows, "live": [sorted(s) for s in self._live]}, f)
+
+    def _load_state(self, path: str) -> None:
+        if not self.combine:
+            return super()._load_state(path)
+        names = sorted(n for n in os.listdir(path) if n.startswith("cells-"))
+        self.cells = []
+        for name in names:
+            with pa.OSFile(os.path.join(path, name)) as f:
+                self.cells.append((-1, ray.put(pa.ipc.open_file(f).read_all())))
+        with open(os.path.join(path, "partitions.json")) as f:
+            parts = json.load(f)
+        self._rows = parts["rows"]
+        self._live = [set(map(tuple, s)) for s in parts["live"]]
+        self._max_live = [0] * self.parallelism  # a restored store's, too
+        self._events, self._groups = [], {}
+
+    def shutdown(self) -> None:
+        self.cells = []  # release the live cell tables
+        super().shutdown()
 
 
 def _as_sliding(w) -> SlidingWindow:

@@ -7,6 +7,10 @@ merged across slices/partitions at window close.  The actor boundary replaces
 Flink's keyed state backend: a key's state lives on exactly one actor
 (partition = hash(conv_id) % P, salted for hot keys upstream).
 
+The store serves the synopses that are not ``combinable`` (and a job whose
+``combine`` is set False): Count-Min and HyperLogLog slice state is kept as
+cell tables, with no actors (``engine/streaming.py``).
+
 Raw ``@ray.remote`` is justified here (SURVEY §7): state must outlive any
 single batch and survive across micro-batches — the Dataset API cannot express
 a shared mutable slice store.
@@ -25,16 +29,6 @@ from ..config import BuildConfiguration
 from ..stages.extract import KeyExtractor, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.registry import make_synopsis
-
-
-def _decoded(col) -> np.ndarray:
-    """A shard column as one numpy array, dictionary chunks decoded."""
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    return np.concatenate([
-        c.dictionary.to_numpy()[c.indices.to_numpy()]
-        if pa.types.is_dictionary(c.type) else c.to_numpy()
-        for c in chunks
-    ])
 
 
 @ray.remote(num_cpus=0.5)
@@ -65,25 +59,13 @@ class PartitionStateStore:
     # -- ingest one micro-batch shard (already partition-filtered, already
     #    late-dropped upstream where arrival order is known) ---------------
     def ingest(self, batch: pa.Table) -> int:
-        """Apply a row shard, or a count shard from the split's combiner
-        (one ``(__slice, [stratum], __key32, __count)`` row per group, for a
-        ``combinable`` synopsis).  A count shard's ``__slice`` may be
-        dictionary-encoded and its ``__count`` any integer width; the counts
-        go to the synopsis as weights (Count-Min adds them, HyperLogLog
-        ignores them) and are added to ``slice_counts`` and
-        ``rows_ingested``, so a window's ``n_rows`` is its row count either
-        way.  Returns the rows applied."""
+        """Apply a row shard; returns the rows applied."""
         _t0 = time.perf_counter()
         n = batch.num_rows
         if n == 0:
             return 0
-        weights = None
-        if "__count" in batch.column_names:
-            sid = _decoded(batch["__slice"])
-            weights = _decoded(batch["__count"]).astype(np.int64)
-        else:
-            ts = ts_to_us(batch["ts"])
-            sid = ts // self.slice_us
+        ts = ts_to_us(batch["ts"])
+        sid = ts // self.slice_us
         if self.sample_elements:
             from ..engine.batch import _element_keys
 
@@ -125,11 +107,6 @@ class PartitionStateStore:
                     syn.set_partition_value(stratum)
                 self.slices[key] = syn
                 self.slice_counts[key] = 0
-            if weights is not None:
-                w = weights[idx]
-                syn.apply_precomputed(pre, idx, w)
-                self.slice_counts[key] += int(w.sum())
-                continue
             if pre is not None:
                 syn.apply_precomputed(pre, idx)
             elif self.timestamped:
@@ -137,12 +114,11 @@ class PartitionStateStore:
             else:
                 syn.update_batch(values[idx])
             self.slice_counts[key] += hi - lo
-        rows = n if weights is None else int(weights.sum())
-        self.rows_ingested += rows
+        self.rows_ingested += n
         if len(self.slices) > self.max_open_slices:
             self.max_open_slices = len(self.slices)
         self.ingest_sec += time.perf_counter() - _t0
-        return rows
+        return n
 
     # -- window close ------------------------------------------------------
     def collect_closed_slices_snapshot(

@@ -33,9 +33,9 @@ class Synopsis:
     invertible: bool = False
     timestamped: bool = False  # SamplerWithTimestamps marker
     order_based: bool = False  # non-mergeable, order-sensitive (wavelets)
-    # the partial depends only on each key's row count, so the streaming
-    # split may ship (key, count) groups instead of rows; such a class takes
-    # ``apply_precomputed(pre, idx, weights)``, one count per row of idx
+    # the partial depends only on each key's row count, so the streaming job
+    # keeps its slice state as (key, count) groups instead of synopses
+    # (Count-Min and HyperLogLog; ``engine/streaming.py`` folds their cells)
     combinable: bool = False
 
     def __init__(self):

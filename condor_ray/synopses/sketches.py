@@ -59,9 +59,9 @@ class CountMinSketch(Synopsis):
     scatter).  Batches whose keys are mostly distinct, and slices too small
     to repeat a key often, add their rows' cells instead.  The result is
     byte-identical to ``update_batch`` of the rows.  Because of that
-    linearity the streaming split combines Count-Min rows into per-(slice,
-    stratum, key) counts before the shuffle (``engine/streaming.py``), and
-    the store applies them through ``apply_precomputed(..., weights)``.
+    linearity the streaming job keeps Count-Min slice state as per-(slice,
+    stratum, key) counts (``engine/streaming.py``), and builds the sketches
+    it emits with ``from_cells``.
 
     A batch query on a sparse sketch runs the fused kernel too, over a
     scratch dense copy; batches under ``_FUSED_SPARSE_QUERY`` keys stay on
@@ -99,6 +99,27 @@ class CountMinSketch(Synopsis):
             self.height, self.width
         )
         self._sp_idx = self._sp_val = None
+
+    @classmethod
+    def from_cells(cls, width: int, height: int, seed: int = 7, *, cells: np.ndarray,
+                   counters: np.ndarray, elements_processed: int,
+                   partition_value=None) -> "CountMinSketch":
+        """The sketch whose counters are ``counters`` at the sorted distinct
+        flat ``cells`` (zero elsewhere), in the layout updates and merges
+        leave: int32 counters (wrapping as Java's), sparse below 1/3 fill."""
+        obj = cls(width, height, seed)
+        counters = np.asarray(counters).astype(np.int64).astype(np.int32)
+        nz = counters != 0
+        cells, counters = np.asarray(cells, dtype=np.int64)[nz], counters[nz]
+        if len(cells) * 3 < width * height:
+            obj._sp_idx, obj._sp_val = cells, counters
+        else:
+            dense = np.zeros(height * width, dtype=np.int32)
+            dense[cells] = counters
+            obj.array = dense
+        obj.elements_processed = int(elements_processed)
+        obj.partition_value = partition_value
+        return obj
 
     def _densify(self) -> None:
         d = np.zeros(self.height * self.width, dtype=np.int32)
@@ -228,14 +249,8 @@ class CountMinSketch(Synopsis):
         keys, inv = _key_index(values)
         return self._flat_indices(keys).reshape(-1, self.height), inv
 
-    def apply_precomputed(self, pre, idx: np.ndarray, weights=None) -> None:
-        """``weights``, one count per row of ``idx``, applies each row that
-        many times (a combined shard's rows), as ``update_weighted``."""
+    def apply_precomputed(self, pre, idx: np.ndarray) -> None:
         flat, inv = pre
-        if weights is not None:
-            self._scatter_weighted(flat[idx if inv is None else inv[idx]].ravel(), weights)
-            self.elements_processed += int(weights.sum())
-            return
         if inv is None:
             self._add_cells(flat[idx].ravel(), 1)
         elif len(idx) * 4 < len(flat):
@@ -383,11 +398,11 @@ class HyperLogLogSketch(Synopsis):
     first and skips the register sum when half of them are zero.
 
     The registers depend only on the SET of keys a partial saw (a register
-    max is the same however often a key repeats), so the streaming split
-    may ship per-(slice, stratum, key) groups instead of rows
-    (``combinable``; ``apply_precomputed`` ignores their counts), and
-    ``precompute_batch`` hashes each distinct key of a batch once, unless
-    the keys are mostly distinct.
+    max is the same however often a key repeats), so the streaming job may
+    keep slice state as per-(slice, stratum, key) groups instead of rows
+    (``combinable``) and build the sketches it emits with
+    ``from_registers``; ``precompute_batch`` hashes each distinct key of a
+    batch once, unless the keys are mostly distinct.
     """
 
     mergeable = True
@@ -405,6 +420,19 @@ class HyperLogLogSketch(Synopsis):
         self.registers = np.zeros(self.reg_num, dtype=np.int8)
         self._count = 0
         self._count_stale = False  # a merge happened since _count was set
+
+    @classmethod
+    def from_registers(cls, log_reg_num: int, seed: int = 7, *, registers: np.ndarray,
+                       estimate: bool, partition_value=None) -> "HyperLogLogSketch":
+        """The sketch with ``registers``.  Its cached ``distinct_item_count``
+        is their estimate when ``estimate`` (what a merge of two or more
+        partials caches), else 0 (an unmerged partial's, as updates leave
+        it)."""
+        obj = cls(log_reg_num, seed)
+        obj.registers = registers
+        obj._count_stale = bool(estimate)
+        obj.partition_value = partition_value
+        return obj
 
     def _settle(self) -> None:
         """Resolve a merge-stale estimate (before the registers change)."""
@@ -444,9 +472,7 @@ class HyperLogLogSketch(Synopsis):
         keys, inv = _key_index(values)
         return (*self._index_zeros(keys), inv)
 
-    def apply_precomputed(self, pre, idx: np.ndarray, weights=None) -> None:
-        """``weights`` (a combined shard's counts) are ignored: a register
-        max is the same however often a key repeats."""
+    def apply_precomputed(self, pre, idx: np.ndarray) -> None:
         index, zeros, inv = pre
         if inv is not None:
             idx = inv[idx]

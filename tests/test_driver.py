@@ -353,13 +353,12 @@ def test_no_footer_read_for_the_last_fragment(
 
     read = []
 
-    class Counting:
-        def remote(self, path):
-            read.append(path)
-            return task.remote(path)
+    def counting(path):
+        read.append(path)
+        return stats(path)
 
-    task = driver._ts_stats_task
-    monkeypatch.setattr(driver, "_ts_stats_task", Counting())
+    stats = driver.fragment_ts_stats
+    monkeypatch.setattr(driver, "fragment_ts_stats", counting)
     frags = transcript_fragments(tiny_fixture)[:n_frags]
     cfg = BuildConfiguration(
         synopsis="CountMinSketch", params=(128, 3, 7), windows=[TumblingWindow(W_MS)],

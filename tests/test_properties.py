@@ -389,8 +389,8 @@ def test_hll_estimator_shortcut_is_exact(log_reg_num, zeros, seed):
 @given(st.sampled_from([4, 10, 16]), _KEYS, st.integers(1, 30), _SEED)
 def test_hll_grouped_apply_matches_update(log_reg_num, keys, mult, seed):
     """apply_precomputed over distinct-key hashing (repeated keys) or row
-    hashing (mostly distinct keys), with or without counts, leaves the
-    bytes of update_batch over the same rows."""
+    hashing (mostly distinct keys) leaves the bytes of update_batch over the
+    same rows."""
     rng = np.random.default_rng(seed)
     values = rng.permutation(np.repeat(np.asarray(keys, dtype=np.int32), mult))
     idx = np.flatnonzero(rng.integers(0, 2, len(values)))
@@ -399,7 +399,6 @@ def test_hll_grouped_apply_matches_update(log_reg_num, keys, mult, seed):
     assert (pre[2] is None) == ((len(np.unique(values)) - 1) * 2 >= len(values))
     ref = HyperLogLogSketch(log_reg_num, 7)
     ref.update_batch(values[idx])
-    for weights in (None, rng.integers(1, 9, len(idx))):
-        h = HyperLogLogSketch(log_reg_num, 7)
-        h.apply_precomputed(pre, idx, weights)
-        assert h.to_bytes() == ref.to_bytes()
+    h = HyperLogLogSketch(log_reg_num, 7)
+    h.apply_precomputed(pre, idx)
+    assert h.to_bytes() == ref.to_bytes()

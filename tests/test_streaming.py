@@ -340,6 +340,31 @@ class TestPartitionFragmentEdgeCases:
         )
         assert sum(s.num_rows for s in shards2) == 5
 
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_routing_hashes_are_the_conv_id_key(self, chunked):
+        """``conv_partition_ids`` returns each code's java hash, so the split
+        keys on conv_id without hashing it again: ``hashes[codes]`` is
+        ``KeyExtractor``'s key (0 on null rows), also for non-ASCII values,
+        over 1,024 distinct values and dictionary chunks."""
+        from condor_ray.engine.streaming import conv_partition_ids
+        from condor_ray.stages.extract import KeyExtractor
+
+        rng = np.random.default_rng(4)
+        values = [f"c{i}" for i in range(1500)] + ["ü-conv", "日本", "😀x", ""]
+        col = pa.array([
+            None if i % 17 == 0 else values[j]
+            for i, j in enumerate(rng.integers(0, len(values), 5000))
+        ])
+        if chunked:  # a dictionary-preserving read: one dictionary a chunk
+            col = pa.chunked_array([col.slice(0, 2000).dictionary_encode(),
+                                    col.slice(2000).dictionary_encode()])
+        part, codes, dic, hashes = conv_partition_ids(col, 3)
+        key = KeyExtractor(KeySpec("conv_id", "java_hash"))(pa.table({"conv_id": col}))
+        assert len(dic.dictionary) > 1024
+        np.testing.assert_array_equal(hashes[codes], key)
+        nulls = np.asarray(col.is_null())
+        assert nulls.any() and (hashes[codes][nulls] == 0).all()
+
     @pytest.mark.parametrize(
         "stratify_by, sample_elements, expected",
         [
@@ -413,27 +438,52 @@ class TestPartitionFragmentEdgeCases:
         assert sorted(os.listdir(tmp_path / "ckpt-state")) == ["ckpt-00004", "ckpt-00006"]
 
 
-def _group_counts(shard: pa.Table, slice_us: int, stratum) -> dict:
-    """{(slice, stratum, key): rows} of a row shard or a count shard."""
-    if "__count" in shard.column_names:
-        slices, weights = shard["__slice"].to_pylist(), shard["__count"].to_pylist()
+def _label(v):
+    """A stratum value as its ``stratum_codes`` label."""
+    return "<null>" if v is None else "<empty>" if v == "" else v
+
+
+def _group_counts(table: pa.Table, slice_us: int, stratum, part=None) -> dict:
+    """{(slice, stratum label, key): rows} of a row shard, or of a cell
+    table's rows of partition ``part`` (None: of every partition)."""
+    if "__count" in table.column_names:
+        if part is not None:
+            table = table.filter(pa.compute.equal(table["__part"], part))
+        slices, weights = table["__slice"].to_pylist(), table["__count"].to_pylist()
+        strata = table["__stratum"].to_pylist() if stratum else [None] * table.num_rows
     else:
-        slices = (ts_to_us(shard["ts"]) // slice_us).tolist()
-        weights = [1] * shard.num_rows
-    strata = shard[stratum].to_pylist() if stratum else [None] * shard.num_rows
+        slices = (ts_to_us(table["ts"]) // slice_us).tolist()
+        weights = [1] * table.num_rows
+        strata = ([_label(v) for v in table[stratum].to_pylist()] if stratum
+                  else [None] * table.num_rows)
     out: dict = {}
-    for g, w in zip(zip(slices, strata, shard["__key32"].to_pylist()), weights):
+    for g, w in zip(zip(slices, strata, table["__key32"].to_pylist()), weights):
         out[g] = out.get(g, 0) + w
     return out
 
 
+def _job_output(out: str) -> tuple[dict, list]:
+    """A job's emit files (name -> bytes) and manifest fragment lines."""
+    with open(os.path.join(out, "manifest.jsonl")) as f:
+        lines = [line for line in f if '"fragment"' in line]
+    emits = {
+        f: open(os.path.join(out, f), "rb").read()
+        for f in sorted(os.listdir(out)) if f.startswith("emit-")
+    }
+    return emits, lines
+
+
 class TestCombiner:
-    """Count-Min and HyperLogLog shards carry per-(slice, stratum, key)
-    counts, combined in the split: the same partials as the rows, from a
-    fraction of the rows, in a compact encoding."""
+    """Count-Min and HyperLogLog keep slice state as cell tables: the split
+    combines each fragment into per-(slice, stratum, partition, key) counts
+    in a compact encoding, and the close folds them into the partials the
+    stores build from rows."""
 
     @pytest.mark.parametrize("stratum", [None, "role"])
     def test_count_shards_sum_to_kept_rows(self, ray_session, tiny_fixture, stratum):
+        """Per partition, the split's cell table holds the (slice, stratum,
+        key) counts of that partition's row shard, and ``meta`` its rows
+        and (slice, stratum) pairs."""
         from condor_ray.engine.streaming import _partition_fragment
 
         key = KeySpec("conv_id", "java_hash")
@@ -446,58 +496,163 @@ class TestCombiner:
             args = (path, 2, slice_us, wm, 3, ["conv_id", "role", "ts"], key,
                     shard_columns)
             meta, *rows = _partition_fragment(*args)
-            meta_c, *counts = _partition_fragment(*args, True)
-            assert meta_c == meta
+            meta_c, cells = _partition_fragment(*args, True)
+            assert {k: meta_c[k] for k in meta} == meta
+            assert meta_c["part_rows"] == [r.num_rows for r in rows]
             n_late += meta["n_late"]
-            for r, c in zip(rows, counts):
-                assert c.column_names == ["__slice", *[stratum] * bool(stratum),
-                                          "__key32", "__count"]
-                assert c.num_rows * 2 <= r.num_rows
-                assert sum(c["__count"].to_pylist()) == r.num_rows
-                assert (_group_counts(c, slice_us, stratum)
-                        == _group_counts(r, slice_us, stratum))
-                sl = c["__slice"].to_numpy()
-                assert (np.diff(sl) >= 0).all()  # ordered by slice
-            # hot keys (over 3 rows) are salted: one key in both count shards
-            salted += len(set(counts[0]["__key32"].to_pylist())
-                          & set(counts[1]["__key32"].to_pylist()))
+            assert cells.column_names == [
+                "__slice", *["__stratum"] * bool(stratum), "__part", "__key32", "__count"
+            ]
+            assert cells.num_rows * 2 <= sum(r.num_rows for r in rows)
+            assert sum(cells["__count"].to_pylist()) == sum(r.num_rows for r in rows)
+            assert (np.diff(cells["__slice"].to_pylist()) >= 0).all()  # by slice
+            for p, r in enumerate(rows):
+                got = _group_counts(cells, slice_us, stratum, p)
+                assert got == _group_counts(r, slice_us, stratum)
+                assert meta_c["groups"][p] == sorted({(s, st or "") for s, st, _ in got})
+            # hot keys (over 3 rows) are salted: one key in both partitions
+            salted += len(set(_group_counts(cells, slice_us, None, 0))
+                          & set(_group_counts(cells, slice_us, None, 1)))
         assert n_late > 0 and salted > 0
+
+    @staticmethod
+    def _close_agrees(cfg, rows: pa.Table, cells: pa.Table, n_slices: int, tmp_path):
+        """The close, fed ``cells``, emits for each one-slice window the bytes
+        and n_rows of the partial a store builds from ``rows``, and carries
+        every row while no slice is closed.  Returns the emitted payloads."""
+        from condor_ray.engine.streaming import _merge_and_emit
+        from condor_ray.state.store import PartitionStateStore
+
+        store = PartitionStateStore.__ray_actor_class__(0, cfg, W_US)
+        assert store.ingest(rows) == rows.num_rows
+        assert len(store.slices) == n_slices
+        spec = [{"kind": "k", "start": s * W_US, "size": W_US, "slices": [s]}
+                for s in sorted({sid for _, sid in store.slices})]
+        path = str(tmp_path / "emit.parquet")
+        n, carry = _merge_and_emit._function(
+            path, spec, cfg.synopsis, cfg.params, W_US, -(2**62), cells
+        )
+        got = pq.read_table(path).to_pylist()
+        assert n == n_slices == len(got)
+        assert {
+            (r["stratum"] or "", r["window_start"] // W_US): (r["payload"], r["n_rows"])
+            for r in got
+        } == {k: (syn.to_bytes(), store.slice_counts[k]) for k, syn in store.slices.items()}
+        stratum = cfg.stratify_by
+        assert _group_counts(carry, W_US, stratum) == _group_counts(cells, W_US, stratum)
+        return [r["payload"] for r in got]
+
+    @staticmethod
+    def _combined(rows: pa.Table, stratum=None) -> pa.Table:
+        """The cell table the split's combiner makes of ``rows``."""
+        from condor_ray.engine.streaming import _count_cells
+
+        n = rows.num_rows
+        sid = ts_to_us(rows["ts"]) // W_US
+        return _count_cells(rows, np.zeros(n, dtype=np.int64), sid,
+                            rows["__key32"].to_numpy(), stratum, 1)[0]
+
+    @staticmethod
+    def _rows(sid: np.ndarray, keys: np.ndarray, rng, role=False) -> pa.Table:
+        cols = {
+            "ts": pa.array(sid * W_US + rng.integers(0, W_US, len(sid))).cast(
+                pa.timestamp("us")),
+            "__key32": pa.array(keys.astype(np.int32)),
+        }
+        if role:
+            cols["role"] = pa.array(rng.choice(["user", "assistant", None], len(sid)))
+        return pa.table(cols)
 
     @pytest.mark.parametrize("params", [(65536, 5, 7), (8, 2, 7)], ids=["sparse", "dense"])
     @pytest.mark.parametrize("stratum", [None, "role"])
-    def test_count_shard_ingests_like_rows(self, params, stratum):
-        from condor_ray.state.store import PartitionStateStore
-
+    def test_count_shard_ingests_like_rows(self, params, stratum, tmp_path):
         rng = np.random.default_rng(3)
         n = 90
         keys = np.array([-(2**31), -1, 0], dtype=np.int32)[rng.integers(0, 3, n)]
-        sid = 1_000 + rng.integers(0, 2, n)
-        rows = pa.table({
-            "ts": pa.array(sid * W_US + rng.integers(0, W_US, n)).cast(pa.timestamp("us")),
-            "__key32": keys,
-            "role": pa.array(rng.choice(["user", "assistant", None], n)),
-        })
-        counts = _group_counts(rows, W_US, stratum)
-        groups = sorted(counts, key=lambda g: (g[0], str(g[1]), g[2]))
-        shard = pa.table({
-            "__slice": pa.array([g[0] for g in groups], pa.int64()),
-            "role": pa.array([g[1] for g in groups], pa.string()),
-            "__key32": pa.array([g[2] for g in groups], pa.int32()),
-            "__count": pa.array([counts[g] for g in groups], pa.int32()),
-        })
-        assert shard.num_rows < n
+        rows = self._rows(1_000 + rng.integers(0, 2, n), keys, rng, role=True)
+        cells = self._combined(rows, stratum)
+        assert cells.num_rows < n
         cfg = BuildConfiguration(
             synopsis="CountMinSketch", params=params, windows=[TumblingWindow(W_MS)],
             stratify_by=stratum, parallelism=1,
         )
-        a, b = (PartitionStateStore.__ray_actor_class__(0, cfg, W_US) for _ in "ab")
-        assert a.ingest(rows) == b.ingest(shard) == n
-        assert a.rows_ingested == b.rows_ingested == n
-        assert a.slice_counts == b.slice_counts
-        assert len(a.slices) == (2 if stratum is None else 6)
-        for k, syn in a.slices.items():
-            assert (syn._dense is not None) == (params[0] == 8)
-            assert b.slices[k].to_bytes() == syn.to_bytes(), k
+        payloads = self._close_agrees(cfg, rows, cells, 2 if stratum is None else 6,
+                                      tmp_path)
+        for p in payloads:
+            assert (Synopsis.from_bytes(p)._dense is not None) == (params[0] == 8)
+
+    @pytest.mark.parametrize("stratum", [None, "role"])
+    def test_hll_count_shard_ingests_like_rows(self, stratum, tmp_path):
+        """HyperLogLog cells: the counts reach n_rows, and the registers are
+        those of the rows."""
+        rng = np.random.default_rng(5)
+        n = 600
+        keys = rng.integers(-(2**31), 2**31, 40)[rng.integers(0, 40, n)]
+        rows = self._rows(1_000 + rng.integers(0, 3, n), keys, rng, role=True)
+        cells = self._combined(rows, stratum)
+        assert cells.num_rows * 2 <= n
+        assert pa.types.is_dictionary(cells["__slice"].type)
+        assert cells["__count"].type == pa.uint8()
+        cfg = BuildConfiguration(
+            synopsis="HyperLogLogSketch", params=(10, 7), windows=[TumblingWindow(W_MS)],
+            stratify_by=stratum, parallelism=1,
+        )
+        self._close_agrees(cfg, rows, cells, 3 if stratum is None else 9, tmp_path)
+
+    @pytest.mark.parametrize(
+        "top, width",
+        [(255, pa.uint8()), (256, pa.uint16()), (65_535, pa.uint16()),
+         (65_536, pa.uint32())],
+    )
+    def test_count_width_edges(self, top, width, tmp_path):
+        """``__count`` is the narrowest unsigned int that holds the largest
+        count of the table, and the close reads every width."""
+        rng = np.random.default_rng(top)
+        keys = np.concatenate([np.full(top, 7), rng.integers(100, 120, 300)])
+        sid = np.concatenate([np.full(top, 40), 40 + rng.integers(0, 2, 300)])
+        rows = self._rows(sid, keys, rng)
+        cells = self._combined(rows)
+        assert cells["__count"].type == width
+        assert max(cells["__count"].to_pylist()) == top
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch", params=(64, 3, 7), windows=[TumblingWindow(W_MS)],
+            parallelism=1,
+        )
+        self._close_agrees(cfg, rows, cells, 2, tmp_path)
+
+    @pytest.mark.parametrize(
+        "n_slices, index", [(2**15 - 1, pa.int16()), (2**15 + 1, pa.int32())]
+    )
+    def test_slice_index_width_edges(self, n_slices, index, tmp_path):
+        """``__slice`` indexes the table's slice ids with int16, or int32 from
+        2^15 slices on."""
+        rng = np.random.default_rng(1)
+        sid = np.repeat(3 + 7 * np.arange(n_slices), 2)  # two rows a slice
+        rows = self._rows(sid, np.zeros(len(sid)), rng)
+        cells = self._combined(rows)
+        assert cells["__slice"].type.index_type == index
+        assert cells["__slice"].to_pylist() == sid[::2].tolist()
+        cfg = BuildConfiguration(
+            synopsis="HyperLogLogSketch", params=(4, 7), windows=[TumblingWindow(W_MS)],
+            parallelism=1,
+        )
+        self._close_agrees(cfg, rows, cells, n_slices, tmp_path)
+
+    def test_multi_chunk_count_shard(self, tmp_path):
+        """A cell table whose ``__slice`` has several chunks, each with its
+        own dictionary, closes like its rows."""
+        rng = np.random.default_rng(2)
+        parts = [
+            self._rows(lo + rng.integers(0, 3, 200), rng.integers(0, 30, 200), rng)
+            for lo in (10, 12)
+        ]
+        cells = pa.concat_tables([self._combined(r) for r in parts])
+        assert cells["__slice"].num_chunks == 2
+        cfg = BuildConfiguration(
+            synopsis="CountMinSketch", params=(4096, 3, 7), windows=[TumblingWindow(W_MS)],
+            parallelism=1,
+        )
+        self._close_agrees(cfg, pa.concat_tables(parts), cells, 5, tmp_path)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -515,26 +670,12 @@ class TestCombiner:
              "hll_sliding", "hll_stratified"],
     )
     def test_runs_agree_with_row_shards(self, ray_session, tiny_fixture, tmp_path, cfg):
-        """Sequential, pipelined and checkpointed runs over count shards write
-        the emit files and manifest fragment lines of a run over rows."""
+        """Sequential, pipelined and checkpointed runs over cell tables write
+        the emit files and manifest fragment lines of a run over row shards."""
         frags = transcript_fragments(tiny_fixture)
         cfg = BuildConfiguration(**{
             "synopsis": "CountMinSketch", "params": (128, 3, 7), "parallelism": 2, **cfg
         })
-        if cfg.synopsis == "HyperLogLogSketch":
-            # the HLL configs ship count shards for some fragments, not all
-            from condor_ray.engine.streaming import _partition_fragment
-
-            job = StreamingSynopsisJob(cfg, str(tmp_path / "probe"))
-            job.shutdown()
-            kinds = {
-                "__count" in _partition_fragment(
-                    path, 2, job.slice_us, -(2**62), None, job.columns, cfg.key,
-                    job.shard_columns, True,
-                )[1].column_names
-                for path in frags
-            }
-            assert kinds == {True, False}
         outs = {}
         for mode, ckpt, pipelined in (
             ("rows", None, False),
@@ -550,128 +691,114 @@ class TestCombiner:
                 job.run(frags, pipelined=pipelined)
             finally:
                 job.shutdown()
-            with open(os.path.join(out, "manifest.jsonl")) as f:
-                lines = [line for line in f if '"fragment"' in line]
-            emits = {
-                f: open(os.path.join(out, f), "rb").read()
-                for f in sorted(os.listdir(out)) if f.startswith("emit-")
-            }
-            outs[mode] = (emits, lines)
+            outs[mode] = _job_output(out)
         assert len(outs["rows"][0]) > 2 and len(outs["rows"][1]) == len(frags)
         for mode in ("seq", "pipe", "ckpt"):
             assert outs[mode] == outs["rows"], mode
 
 
-    @staticmethod
-    def _stores_agree(cfg, rows: pa.Table, shard: pa.Table, n_slices: int):
-        """A store fed ``rows`` and one fed the count ``shard`` hold equal
-        slice partials, slice counts and row totals."""
-        from condor_ray.state.store import PartitionStateStore
+@pytest.fixture(scope="module")
+def strata_fixture(tiny_fixture, tmp_path_factory):
+    """The tiny stream with every third null ``tool`` written as "": null
+    and empty strata side by side."""
+    out = tmp_path_factory.mktemp("strata")
+    paths = []
+    for path in transcript_fragments(tiny_fixture):
+        t = pq.read_table(path)
+        tool = t["tool"].to_pylist()
+        nulls = [i for i, v in enumerate(tool) if v is None]
+        for i in nulls[::3]:
+            tool[i] = ""
+        t = t.set_column(t.schema.get_field_index("tool"), "tool", pa.array(tool))
+        paths.append(str(out / os.path.basename(path)))
+        pq.write_table(t, paths[-1])
+    return paths
 
-        a, b = (PartitionStateStore.__ray_actor_class__(0, cfg, W_US) for _ in "ab")
-        n = rows.num_rows
-        assert a.ingest(rows) == b.ingest(shard) == n
-        assert a.rows_ingested == b.rows_ingested == n
-        assert a.slice_counts == b.slice_counts
-        assert len(a.slices) == n_slices
-        for k, syn in a.slices.items():
-            assert b.slices[k].to_bytes() == syn.to_bytes(), k
 
-    @staticmethod
-    def _combined(rows: pa.Table, stratum=None) -> pa.Table:
-        """The one count shard the split's combiner makes of ``rows``."""
-        from condor_ray.engine.streaming import _count_shards
+_HLL = dict(synopsis="HyperLogLogSketch", params=(10, 7))
 
-        n = rows.num_rows
-        sid = ts_to_us(rows["ts"]) // W_US
-        shards = _count_shards(rows, np.zeros(n, dtype=np.int64), sid,
-                               rows["__key32"].to_numpy(), stratum, 1)
-        assert shards is not None and len(shards) == 1
-        return shards[0]
 
-    @staticmethod
-    def _rows(sid: np.ndarray, keys: np.ndarray, rng, role=False) -> pa.Table:
-        cols = {
-            "ts": pa.array(sid * W_US + rng.integers(0, W_US, len(sid))).cast(
-                pa.timestamp("us")),
-            "__key32": pa.array(keys.astype(np.int32)),
-        }
-        if role:
-            cols["role"] = pa.array(rng.choice(["user", "assistant", None], len(sid)))
-        return pa.table(cols)
-
-    @pytest.mark.parametrize("stratum", [None, "role"])
-    def test_hll_count_shard_ingests_like_rows(self, stratum):
-        """HyperLogLog takes count shards too: the counts reach slice_counts
-        and rows_ingested, and the registers are those of the rows."""
-        rng = np.random.default_rng(5)
-        n = 600
-        keys = rng.integers(-(2**31), 2**31, 40)[rng.integers(0, 40, n)]
-        rows = self._rows(1_000 + rng.integers(0, 3, n), keys, rng, role=True)
-        shard = self._combined(rows, stratum)
-        assert shard.num_rows * 2 <= n
-        assert pa.types.is_dictionary(shard["__slice"].type)
-        assert shard["__count"].type == pa.uint8()
-        cfg = BuildConfiguration(
-            synopsis="HyperLogLogSketch", params=(10, 7), windows=[TumblingWindow(W_MS)],
-            stratify_by=stratum, parallelism=1,
-        )
-        self._stores_agree(cfg, rows, shard, 3 if stratum is None else 9)
+class TestCellLayout:
+    """The cell layout writes what the stores write (``combine = False``):
+    the same emit files and manifest fragment lines, sequential, pipelined,
+    and crashed after a fragment then resumed."""
 
     @pytest.mark.parametrize(
-        "top, width",
-        [(255, pa.uint8()), (256, pa.uint16()), (65_535, pa.uint16()),
-         (65_536, pa.uint32())],
+        "cfg",
+        [
+            dict(windows=[TumblingWindow(W_MS)], parallelism=1),
+            dict(windows=[SlidingWindow(20_000, 10_000)], stratify_by="tool",
+                 hot_key_threshold=3, parallelism=3),
+            dict(params=(1024, 3, 7), parallelism=2,
+                 windows=[SlidingWindow(i * 5_000, 5_000) for i in range(1, 11)]),
+            dict(**_HLL, windows=[TumblingWindow(1_000)], hot_key_threshold=2,
+                 parallelism=2),
+            dict(**_HLL, windows=[SlidingWindow(5_000, 2_500)], stratify_by="tool",
+                 parallelism=3),
+            dict(**_HLL, windows=[SlidingWindow(W_MS, W_MS // 2)], parallelism=1),
+        ],
+        ids=["cm_tumbling_p1", "cm_sliding_strata_hot_p3", "cm_ten_sliding_p2",
+             "hll_1s_hot_p2", "hll_sliding_strata_p3", "hll_sliding_p1"],
     )
-    def test_count_width_edges(self, top, width):
-        """``__count`` is the narrowest unsigned int that holds the largest
-        count of the shard, and the store reads every width."""
-        rng = np.random.default_rng(top)
-        keys = np.concatenate([np.full(top, 7), rng.integers(100, 120, 300)])
-        sid = np.concatenate([np.full(top, 40), 40 + rng.integers(0, 2, 300)])
-        rows = self._rows(sid, keys, rng)
-        shard = self._combined(rows)
-        assert shard["__count"].type == width
-        assert max(shard["__count"].to_pylist()) == top
-        cfg = BuildConfiguration(
-            synopsis="CountMinSketch", params=(64, 3, 7), windows=[TumblingWindow(W_MS)],
-            parallelism=1,
-        )
-        self._stores_agree(cfg, rows, shard, 2)
+    def test_cells_write_what_stores_write(self, ray_session, strata_fixture, tmp_path,
+                                           cfg):
+        frags = strata_fixture
+        cfg = BuildConfiguration(**{"synopsis": "CountMinSketch", "params": (128, 3, 7),
+                                    **cfg})
+        outs = {}
+        for mode in ("stores", "seq", "pipe", "resume"):
+            out = str(tmp_path / mode)
+            ckpt = str(tmp_path / "ckpt") if mode == "resume" else None
+            job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
+            job.combine = mode != "stores"
+            try:
+                if mode == "resume":  # a crash after fragment 3; ckpt-00002 survives
+                    job.run(frags[:3], final_flush=False)
+                    job.shutdown()
+                    job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt,
+                                               checkpoint_every=2)
+                    assert job.resume() and job.next_fragment == 2
+                job.run(frags, pipelined=mode == "pipe")
+            finally:
+                job.shutdown()
+            outs[mode] = _job_output(out)
+        emits, lines = outs["stores"]
+        assert len(emits) > 2 and len(lines) == len(frags)
+        for mode in ("seq", "pipe", "resume"):
+            assert outs[mode] == outs["stores"], mode
+        rows = pq.read_table([str(tmp_path / "stores" / f) for f in emits]).to_pylist()
+        if cfg.stratify_by:  # null and empty strata both emitted
+            assert {"<null>", "<empty>"} <= {r["stratum"] for r in rows}
+        if cfg.synopsis == "HyperLogLogSketch":
+            # windows of one (partition, slice) partial keep its count of 0
+            counts = [Synopsis.from_bytes(r["payload"]).distinct_item_count for r in rows]
+            assert min(counts) == 0 < max(counts)
 
-    @pytest.mark.parametrize(
-        "n_slices, index", [(2**15 - 1, pa.int16()), (2**15 + 1, pa.int32())]
-    )
-    def test_slice_index_width_edges(self, n_slices, index):
-        """``__slice`` indexes the shard's slice ids with int16, or int32 from
-        2^15 slices on."""
-        rng = np.random.default_rng(1)
-        sid = np.repeat(3 + 7 * np.arange(n_slices), 2)  # two rows a slice
-        rows = self._rows(sid, np.zeros(len(sid)), rng)
-        shard = self._combined(rows)
-        assert shard["__slice"].type.index_type == index
-        assert shard["__slice"].to_pylist() == sid[::2].tolist()
-        cfg = BuildConfiguration(
-            synopsis="HyperLogLogSketch", params=(4, 7), windows=[TumblingWindow(W_MS)],
-            parallelism=1,
-        )
-        self._stores_agree(cfg, rows, shard, n_slices)
+    def test_state_stays_bounded(self, ray_session, tiny_fixture, tmp_path, monkeypatch):
+        """A close replaces the tables it reads with one carry, and
+        ``_DRAIN_EVERY`` fragments without a close are folded: live state
+        is one carry plus the fragments since the last close."""
+        import condor_ray.engine.streaming as streaming
 
-    def test_multi_chunk_count_shard(self):
-        """A count shard whose ``__slice`` has several chunks, each with its
-        own dictionary, ingests like its rows."""
-        rng = np.random.default_rng(2)
-        parts = [
-            self._rows(lo + rng.integers(0, 3, 200), rng.integers(0, 30, 200), rng)
-            for lo in (10, 12)
-        ]
-        shard = pa.concat_tables([self._combined(r) for r in parts])
-        assert shard["__slice"].num_chunks == 2
-        cfg = BuildConfiguration(
-            synopsis="CountMinSketch", params=(4096, 3, 7), windows=[TumblingWindow(W_MS)],
-            parallelism=1,
-        )
-        self._stores_agree(cfg, pa.concat_tables(parts), shard, 5)
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
+                                 windows=[TumblingWindow(3_600_000)], parallelism=2)
+        outs = {}
+        for drain in (32, 2):
+            monkeypatch.setattr(streaming, "_DRAIN_EVERY", drain)
+            out = str(tmp_path / str(drain))
+            job = StreamingSynopsisJob(cfg, out)
+            try:
+                for k in range(1, len(frags) + 1):  # no window closes
+                    job.run(frags[:k], final_flush=False, pipelined=False)
+                    assert len(job.cells) == (k if drain > k else 1 + (k - 1) % drain)
+                job.run(frags)
+                assert len(job.cells) == 1
+            finally:
+                job.shutdown()
+            assert job.cells == []
+            outs[drain] = _job_output(out)
+        assert outs[2] == outs[32] and outs[2][0]
 
 
 class TestFlushKeepsWatermark:

@@ -185,7 +185,7 @@ class TestHLL:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from condor_ray.engine.streaming import _merge_and_emit
+        from condor_ray.engine.streaming import _merge_partials_and_emit
 
         rng = np.random.default_rng(3)  # leaves the module RNG's stream alone
         slice_us, n_slices = 2_500_000, 10
@@ -216,7 +216,9 @@ class TestHLL:
 
         monkeypatch.setattr(HyperLogLogSketch, "distinct_items_estimator", counting)
         path = str(tmp_path / "emit.parquet")
-        n = _merge_and_emit._function(path, emit_spec, "HyperLogLogSketch", *tables)
+        n = _merge_partials_and_emit._function(
+            path, emit_spec, "HyperLogLogSketch", *tables
+        )
         assert n == n_slices - 1 == pq.read_metadata(path).num_rows
         assert len(calls) <= n
 
