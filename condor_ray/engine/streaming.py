@@ -23,16 +23,18 @@ The parts:
   safe because mergeable-synopsis state is keyed by (stratum, slice), not by
   conv (SURVEY §4 skew row).  The object layout cuts P row shards (one Ray
   object each, so each shard moves only to its actor).  In the cell layout
-  the routed partition is only a column, ``__part``, which HyperLogLog's
-  preserved merge quirk reads (see Window close).
+  the routed partition is only a column, ``__part``, and only in
+  HyperLogLog's tables, whose preserved merge quirk reads it (see Window
+  close).
 - **Combiner** (cell layout): after the late filter, salting and key
   extraction, one sort groups the fragment's rows by (slice, stratum,
-  partition, key), and the split returns one cell table with a row
-  ``(__slice, [__stratum], __part, __key32, __count)`` per group.  The
-  encoding is compact: ``__slice`` is a dictionary over the table's slice
-  ids with int16 indices (int32 from 2^15 slices), ``__stratum`` a
-  dictionary over the stratum labels of ``stratum_codes``, and ``__part``
-  and ``__count`` the narrowest unsigned ints that hold their values.
+  [partition,] key), and the split returns one cell table with a row
+  ``(__slice, [__stratum], [__part], __key32, __count)`` per group, in that
+  order (stratum labels sorted, keys as unsigned ints).  The encoding is
+  compact: ``__slice`` is a dictionary over the table's slice ids with
+  int16 indices (int32 from 2^15 slices), ``__stratum`` a dictionary over
+  the stratum labels of ``stratum_codes``, and ``__part`` and ``__count``
+  the narrowest unsigned ints that hold their values.
 - **Late rule**: applied in the split.  A row is late iff its slice end <=
   the carry-in watermark (the max-seen assigner of
   bench/.../sources/utils/SyntheticTimestampsAndWatermarks.java:17-28, at
@@ -44,15 +46,18 @@ The parts:
   task merges them per slice, then per window.  In the cell layout one task
   (``_merge_and_emit``) reads the cell tables of fragments <= k: over the
   rows of the closing windows' slices, it hashes each distinct key once,
-  reduces the cells per (stratum, slice) in one sort, folds each window
-  from its slices and builds only the synopses it emits.  Either way the task writes ``emit-f{k:05d}.parquet``,
-  with the same bytes: a Count-Min window is sparse iff nnz*3 <
-  width*height, and a HyperLogLog window caches its estimate iff it folds
-  two or more (partition, slice) partials (the reference's merge caches it;
-  an unmerged partial holds 0).  Slices are evicted once no remaining window
-  needs them: the cell close also returns the rows of the slices that stay
-  open, which replace the tables it read, and ``_DRAIN_EVERY`` fragments
-  without a close are folded the same way, so live state stays bounded.
+  reduces the cells per (stratum, slice) once (Count-Min into a scratch
+  once the cells reach 1/8 of the sketches, else by a sort), folds each
+  window from its slices and builds only the synopses it emits.  Either way
+  the task writes ``emit-f{k:05d}.parquet``, with the same bytes: a
+  Count-Min window is sparse iff nnz*3 < width*height, and a HyperLogLog
+  window caches its estimate iff it folds two or more (partition, slice)
+  partials (the reference's merge caches it; an unmerged partial holds 0).
+  Slices are evicted once no remaining window needs them: the cell close
+  also returns the rows of the slices that stay open, which replace the
+  tables it read (the tables are sorted runs, merged by a stable sort), and
+  ``_FOLD_EVERY`` fragments without a close are folded the same way, so
+  live state stays bounded.
 
 This module also holds the conv-hash routing every streaming splitter shares
 (``conv_partition_ids``, ``split_by_conv``).
@@ -78,8 +83,13 @@ from ..synopses.registry import get_synopsis_class, make_synopsis
 from ..synopses.sketches import CountMinSketch, HyperLogLogSketch
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
 from .batch import _common_slice_us, _window_kind
-from .driver import _DRAIN_EVERY, NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
+from .driver import NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
 from .emit import write_atomic
+
+# The cell layout folds the live tables of fragments that closed no window
+# into one carry once this many pile up, so between closes its live state is
+# at most one carry plus this many fragment tables.
+_FOLD_EVERY = 32
 
 
 def _murmur_mix_array(codes: np.ndarray) -> np.ndarray:
@@ -176,7 +186,8 @@ def _grouped(group: np.ndarray, keys: np.ndarray, counts: np.ndarray | None = No
     """The distinct (group, key) pairs of the rows in (group, key) order,
     and each pair's rows (``counts`` None) or summed ``counts``: one int64
     sort with the group above the key's 32 bits (groups from 2^31 on are
-    ranked first)."""
+    ranked first).  Rows with ``counts`` are the sorted runs of cell tables,
+    which a stable (tim)sort merges in about linear time."""
     ranks = None
     if len(group) and int(group.max()) >= 2**31:
         ranks, group = np.unique(group, return_inverse=True)
@@ -185,7 +196,7 @@ def _grouped(group: np.ndarray, keys: np.ndarray, counts: np.ndarray | None = No
     if counts is None:
         packed = np.sort(packed)
     else:
-        order = np.argsort(packed)
+        order = np.argsort(packed, kind="stable")
         packed, counts = packed[order], counts[order]
     first = _run_starts(packed)
     if counts is None:
@@ -196,6 +207,14 @@ def _grouped(group: np.ndarray, keys: np.ndarray, counts: np.ndarray | None = No
     group = packed >> 32
     return (group if ranks is None else ranks[group],
             packed.astype(np.uint32).view(np.int32), counts)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of non-negative ints: by a bincount when
+    they span a small range, else by a sort."""
+    if len(values) and int(values.max()) <= 4 * len(values) + 1024:
+        return np.flatnonzero(np.bincount(values))
+    return np.unique(values)
 
 
 def _narrow(values: np.ndarray) -> np.ndarray:
@@ -210,9 +229,9 @@ def _count_table(sid: np.ndarray, strata: dict, part, keys, counts) -> pa.Table:
     """One compact cell table.  ``__slice`` is a dictionary over the
     table's slice ids, built from the runs of ``sid`` (the rows arrive
     ordered by slice), with int16 indices (int32 from 2^15 slices);
-    ``__part`` and ``__count`` are the narrowest unsigned ints that hold
-    their largest value, so a group costs 8 bytes (index, partition, key,
-    count)."""
+    ``__part`` (left out when ``part`` is None) and ``__count`` are the
+    narrowest unsigned ints that hold their largest value, so a group costs
+    7 or 8 bytes (index, [partition,] key, count)."""
     run = np.ones(len(sid), dtype=bool)
     run[1:] = sid[1:] != sid[:-1]
     index = np.cumsum(run) - 1
@@ -223,7 +242,7 @@ def _count_table(sid: np.ndarray, strata: dict, part, keys, counts) -> pa.Table:
             pa.array(sid[run], type=pa.int64()),
         ),
         **strata,
-        "__part": _narrow(part),
+        **({} if part is None else {"__part": _narrow(part)}),
         "__key32": keys,
         "__count": _narrow(counts),
     })
@@ -231,23 +250,35 @@ def _count_table(sid: np.ndarray, strata: dict, part, keys, counts) -> pa.Table:
 
 def _count_cells(
     table: pa.Table, part: np.ndarray, sid: np.ndarray, keys: np.ndarray,
-    stratum: str | None, parallelism: int,
+    stratum: str | None, parallelism: int, by_part: bool = False,
 ) -> tuple[pa.Table, list]:
     """The combiner: the fragment's cell table, one row per (slice, stratum,
-    partition, key) group of the rows, ordered by slice (``_count_table``).
-    Keys ship as the int32 the synopsis hashes, strata as their
-    ``stratum_codes`` labels.  Also returns, per partition, the (slice,
-    stratum label) pairs the rows touch."""
+    [partition,] key) group of the rows, ordered by slice, stratum label,
+    partition and unsigned key (``_count_table``).  Keys ship as the int32
+    the synopsis hashes, strata as their ``stratum_codes`` labels; the
+    partition is a dimension only ``by_part``.  Also returns, per
+    partition, the (slice, stratum label) pairs the rows touch."""
     labels, code = [""], 0
     if stratum is not None:
-        code, labels = stratum_codes(table[stratum])
+        code, raw = stratum_codes(table[stratum])
+        # sorted labels: every table orders its rows as ``_carry`` does
+        labels = sorted(set(raw))
+        at = {v: i for i, v in enumerate(labels)}
+        code = np.array([at[v] for v in raw], dtype=np.int64)[code]
     s0 = int(sid.min()) if len(sid) else 0
     # slice, then stratum, then partition
     group = ((sid - s0) * len(labels) + code) * parallelism + part
+    touched: list[list] = [[] for _ in range(parallelism)]
+    for g in _distinct(group).tolist():
+        g, p = divmod(g, parallelism)
+        touched[p].append((g // len(labels) + s0, labels[g % len(labels)]))
+    if not by_part:
+        group //= parallelism
     group, keys, counts = _grouped(group, keys)
-    first = _run_starts(group)
-    part = group % parallelism
-    group //= parallelism
+    part = None
+    if by_part:
+        part = group % parallelism
+        group //= parallelism
     code = group % len(labels)
     sid = group // len(labels) + s0
     strata = {}
@@ -255,11 +286,7 @@ def _count_cells(
         strata["__stratum"] = pa.DictionaryArray.from_arrays(
             pa.array(code.astype(np.int32)), pa.array(labels, type=pa.string())
         )
-    touched: list[set] = [set() for _ in range(parallelism)]
-    for s, c, p in zip(sid[first].tolist(), code[first].tolist(),
-                       part[first].tolist()):
-        touched[p].add((s, labels[c]))
-    return _count_table(sid, strata, part, keys, counts), [sorted(t) for t in touched]
+    return _count_table(sid, strata, part, keys, counts), touched
 
 
 def _partition_fragment(
@@ -272,6 +299,7 @@ def _partition_fragment(
     key_spec=None,
     shard_columns: list[str] | None = None,
     combine: bool = False,
+    by_part: bool = False,
 ):
     """Split one fragment by conv hash; drop+count late rows.
 
@@ -282,8 +310,9 @@ def _partition_fragment(
     is used here and need not ship.
 
     With ``combine`` (and a ``key_spec``): returns (meta_dict, cells), the
-    fragment's cell table (``_count_cells``); the stratum is the shard column
-    other than ts and __key32, if any.  ``meta`` then also holds
+    fragment's cell table (``_count_cells``, with a ``__part`` column iff
+    ``by_part``); the stratum is the shard column other than ts and __key32,
+    if any.  ``meta`` then also holds
     ``part_rows`` (rows kept per partition) and ``groups`` (the (slice,
     stratum label) pairs of each partition)."""
     dict_cols = [
@@ -330,7 +359,7 @@ def _partition_fragment(
                 (c for c in shard_columns or () if c not in ("ts", "__key32")), None
             )
             cells, meta["groups"] = _count_cells(
-                table, part, ts // slice_us, key_col, stratum, parallelism
+                table, part, ts // slice_us, key_col, stratum, parallelism, by_part
             )
             meta["part_rows"] = np.bincount(part, minlength=parallelism).tolist()
             return meta, cells
@@ -349,8 +378,8 @@ def _decode_cells(tables) -> dict | None:
     """The rows of several cell tables as numpy arrays over one slice and
     one stratum numbering: ``slices`` (sorted distinct slice ids) and
     ``labels`` (sorted stratum labels, ``[""]`` unstratified), and per row
-    ``rank`` (into slices), ``lab`` (into labels), ``part``, ``key`` and
-    ``count``.  None when there are no rows."""
+    ``rank`` (into slices), ``lab`` (into labels), ``part`` (0 without
+    ``__part``), ``key`` and ``count``.  None when there are no rows."""
     batches = [b for t in tables for b in t.to_batches() if b.num_rows]
     if not batches:
         return None
@@ -362,6 +391,7 @@ def _decode_cells(tables) -> dict | None:
         {v for b in batches for v in b["__stratum"].dictionary.to_pylist()}
     ) if stratified else [""]
     at = {v: i for i, v in enumerate(labels)}
+    by_part = "__part" in batches[0].schema.names
     cols: dict[str, list] = {"rank": [], "lab": [], "part": [], "key": [], "count": []}
     for b in batches:
         s = b["__slice"]
@@ -373,21 +403,23 @@ def _decode_cells(tables) -> dict | None:
             cols["lab"].append(lut[st.indices.to_numpy()])
         else:
             cols["lab"].append(np.zeros(b.num_rows, dtype=np.int64))
-        cols["part"].append(b["__part"].to_numpy().astype(np.int64))
+        cols["part"].append(b["__part"].to_numpy().astype(np.int64) if by_part
+                            else np.zeros(b.num_rows, dtype=np.int64))
         cols["key"].append(b["__key32"].to_numpy())
         cols["count"].append(b["__count"].to_numpy().astype(np.int64))
     out = {k: np.concatenate(v) for k, v in cols.items()}
-    return {**out, "slices": slices, "labels": labels, "stratified": stratified}
+    return {**out, "slices": slices, "labels": labels, "stratified": stratified,
+            "by_part": by_part}
 
 
 def _carry(c: dict, slice_us: int, horizon: int) -> pa.Table:
     """The rows of the slices that stay open (end > ``horizon``), one per
-    (slice, stratum, partition, key) with the counts summed."""
+    (slice, stratum, [partition,] key) with the counts summed."""
     keep = (c["slices"][c["rank"]] + 1) * slice_us > horizon
     n_labels, n_parts = len(c["labels"]), int(c["part"].max()) + 1
     group = (c["rank"][keep] * n_labels + c["lab"][keep]) * n_parts + c["part"][keep]
     group, keys, counts = _grouped(group, c["key"][keep], c["count"][keep])
-    part = group % n_parts
+    part = group % n_parts if c["by_part"] else None
     group //= n_parts
     strata = {}
     if c["stratified"]:
@@ -419,11 +451,18 @@ def _slice_cells(c: dict, proto: Synopsis, group: np.ndarray):
         cells = flat if inv is None else flat[inv]
         n_cells = proto.width * proto.height
         packed = (group[:, None] * n_cells + cells).ravel()
-        order = np.argsort(packed)
-        packed = packed[order]
-        first = _run_starts(packed)
-        value = np.add.reduceat(np.repeat(c["count"], proto.height)[order], first)
-        packed = packed[first]
+        weights = np.repeat(c["count"], proto.height)
+        if (int(group.max()) + 1) * n_cells <= 8 * len(packed):
+            # the cells reach 1/8 of the groups' sketches: sum into a scratch
+            dense = np.bincount(packed, weights=weights).astype(np.int64)
+            packed = np.flatnonzero(dense)
+            value = dense[packed]
+        else:
+            order = np.argsort(packed)
+            packed = packed[order]
+            first = _run_starts(packed)
+            value = np.add.reduceat(weights[order], first)
+            packed = packed[first]
     return packed // n_cells, packed % n_cells, value
 
 
@@ -704,6 +743,8 @@ class StreamingSynopsisJob(FragmentStreamJob):
         # state as cell tables (set False before the first run for stores)
         self.combine = (not config.sample_elements
                         and get_synopsis_class(config.synopsis).combinable)
+        # only HyperLogLog's estimate rule reads a cell's partition
+        self.by_part = issubclass(get_synopsis_class(config.synopsis), HyperLogLogSketch)
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
         # the cell layout: live (fragment, cell table ref) pairs, where a
         # close's carry stands at the fragment it closed; and the run
@@ -729,9 +770,8 @@ class StreamingSynopsisJob(FragmentStreamJob):
         filter depends only on each fragment's carry-in watermark, a close
         reads only the cells of fragments up to its own, and slice ingest
         commutes across fragments."""
-        if not self.combine and not self.stores:
-            self.stores = [PartitionStateStore.remote(p, self.config, self.slice_us)
-                           for p in range(self.parallelism)]
+        if not self.combine:
+            self._start_stores()
         # a run that raised may have left cells of fragments it did not take in
         self.cells = [(i, r) for i, r in self.cells if i < self.next_fragment]
         self._events = [e for e in self._events
@@ -739,6 +779,12 @@ class StreamingSynopsisJob(FragmentStreamJob):
         pipelined = self.checkpoint_dir is None and pipelined is not False
         lookahead = 1 + max(4, 2 * cluster_cpus()) if pipelined else 1
         return self._run(fragment_paths, resume, final_flush, lookahead)
+
+    def _start_stores(self) -> None:
+        """The object layout's actors, started by the first run or resume."""
+        if not self.stores:
+            self.stores = [PartitionStateStore.remote(p, self.config, self.slice_us)
+                           for p in range(self.parallelism)]
 
     def _split(self, k: int, path: str, wm: int) -> list:
         return _partition_task.options(
@@ -753,6 +799,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
             None if self.config.sample_elements else self.config.key,
             self.shard_columns,
             self.combine,
+            self.by_part,
         )
 
     def _ingest(self, k: int, shards: list, wm: int) -> list:
@@ -806,7 +853,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
                 self.emit_path(idx), emit_spec, self.config.synopsis, *table_refs
             )
         live = [r for i, r in self.cells if i <= idx]
-        if not emit_spec and len(live) <= _DRAIN_EVERY:
+        if not emit_spec and len(live) <= _FOLD_EVERY:
             return None
         n, carry = _merge_and_emit.remote(
             self.emit_path(idx), emit_spec, self.config.synopsis, self.config.params,
@@ -814,6 +861,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
         )
         self.cells = [(idx, carry)] + [(i, r) for i, r in self.cells if i > idx]
         self._events.append(("evict", horizon))
+        self._account()
         return n if emit_spec else None
 
     def _flush_wm(self) -> int:
@@ -825,9 +873,13 @@ class StreamingSynopsisJob(FragmentStreamJob):
         """Replay the ingests and evictions since the last call, in the order
         the driver submitted them, into the per-partition figures: rows
         ingested, live (slice, stratum) pairs and their high-water mark (a
-        store's ``stats``)."""
+        store's ``stats``).  The replay stops at the first ingest whose meta
+        has not resolved, so only in-flight fragments wait in ``_events``."""
+        done = 0
         for kind, arg in self._events:
             if kind == "add":
+                if arg not in self._groups:
+                    break
                 groups, rows = self._groups.pop(arg)
                 for p, touched in enumerate(groups):
                     self._rows[p] += rows[p]
@@ -837,7 +889,8 @@ class StreamingSynopsisJob(FragmentStreamJob):
             else:
                 for live in self._live:
                     live -= {g for g in live if (g[0] + 1) * self.slice_us <= arg}
-        self._events.clear()
+            done += 1
+        del self._events[:done]
 
     def _summary(self, stats: list) -> dict:
         if not self.combine:
@@ -864,6 +917,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
 
     def _load_state(self, path: str) -> None:
         if not self.combine:
+            self._start_stores()
             return super()._load_state(path)
         names = sorted(n for n in os.listdir(path) if n.startswith("cells-"))
         self.cells = []

@@ -481,9 +481,10 @@ class TestCombiner:
 
     @pytest.mark.parametrize("stratum", [None, "role"])
     def test_count_shards_sum_to_kept_rows(self, ray_session, tiny_fixture, stratum):
-        """Per partition, the split's cell table holds the (slice, stratum,
-        key) counts of that partition's row shard, and ``meta`` its rows
-        and (slice, stratum) pairs."""
+        """Per partition, the split's cell table ``by_part`` holds the
+        (slice, stratum, key) counts of that partition's row shard, and
+        ``meta`` its rows and (slice, stratum) pairs; without ``by_part`` the
+        table holds the counts of all shards, with no ``__part`` column."""
         from condor_ray.engine.streaming import _partition_fragment
 
         key = KeySpec("conv_id", "java_hash")
@@ -496,13 +497,19 @@ class TestCombiner:
             args = (path, 2, slice_us, wm, 3, ["conv_id", "role", "ts"], key,
                     shard_columns)
             meta, *rows = _partition_fragment(*args)
-            meta_c, cells = _partition_fragment(*args, True)
+            meta_c, cells = _partition_fragment(*args, True, True)
+            meta_n, flat = _partition_fragment(*args, True)
             assert {k: meta_c[k] for k in meta} == meta
+            assert meta_n == meta_c
             assert meta_c["part_rows"] == [r.num_rows for r in rows]
             n_late += meta["n_late"]
             assert cells.column_names == [
                 "__slice", *["__stratum"] * bool(stratum), "__part", "__key32", "__count"
             ]
+            assert flat.column_names == [c for c in cells.column_names if c != "__part"]
+            assert _group_counts(flat, slice_us, stratum) == _group_counts(
+                pa.concat_tables(rows), slice_us, stratum)
+            assert flat.num_rows <= cells.num_rows
             assert cells.num_rows * 2 <= sum(r.num_rows for r in rows)
             assert sum(cells["__count"].to_pylist()) == sum(r.num_rows for r in rows)
             assert (np.diff(cells["__slice"].to_pylist()) >= 0).all()  # by slice
@@ -776,7 +783,7 @@ class TestCellLayout:
 
     def test_state_stays_bounded(self, ray_session, tiny_fixture, tmp_path, monkeypatch):
         """A close replaces the tables it reads with one carry, and
-        ``_DRAIN_EVERY`` fragments without a close are folded: live state
+        ``_FOLD_EVERY`` fragments without a close are folded: live state
         is one carry plus the fragments since the last close."""
         import condor_ray.engine.streaming as streaming
 
@@ -785,7 +792,7 @@ class TestCellLayout:
                                  windows=[TumblingWindow(3_600_000)], parallelism=2)
         outs = {}
         for drain in (32, 2):
-            monkeypatch.setattr(streaming, "_DRAIN_EVERY", drain)
+            monkeypatch.setattr(streaming, "_FOLD_EVERY", drain)
             out = str(tmp_path / str(drain))
             job = StreamingSynopsisJob(cfg, out)
             try:
@@ -799,6 +806,84 @@ class TestCellLayout:
             assert job.cells == []
             outs[drain] = _job_output(out)
         assert outs[2] == outs[32] and outs[2][0]
+
+
+    def test_summary_figures_stay_bounded(self, ray_session, tiny_fixture, tmp_path):
+        """Each close replays the resolved ingests into the per-partition
+        figures: after the close of fragment k, only the ingests of
+        fragments > k (still in flight) wait, and no resolved meta is kept.
+        The figures equal the stores' ``stats``."""
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
+                                 windows=[SlidingWindow(W_MS, W_MS // 2)], parallelism=2)
+        summaries = {}
+        for mode in ("stores", "cells"):
+            job = StreamingSynopsisJob(cfg, str(tmp_path / mode))
+            job.combine = mode == "cells"
+            close, seen = job._close, []
+
+            def checked(wm, idx, close=close, job=job, seen=seen):
+                out = close(wm, idx)
+                seen.append((dict(job._groups), [
+                    arg for kind, arg in job._events if kind == "add" and arg <= idx
+                ]))
+                return out
+
+            job._close = checked
+            try:
+                summaries[mode] = job.run(frags, pipelined=True)["partitions"]
+            finally:
+                job.shutdown()
+            if mode == "cells":
+                assert len(seen) == len(frags) + 1
+                assert all(groups == {} and not waiting for groups, waiting in seen)
+        for p, q in zip(summaries["cells"], summaries["stores"]):
+            for k in ("partition_id", "rows_ingested", "open_slices", "max_open_slices"):
+                assert p[k] == q[k], k
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(synopsis="BloomFilter", params=(64, 1024, 7),
+                 windows=[SlidingWindow(W_MS, W_MS // 2)]),
+            dict(synopsis="CountMinSketch", params=(128, 3, 7),
+                 windows=[SlidingWindow(W_MS, W_MS // 2)], stratify_by="tool"),
+        ],
+        ids=["bloom", "cm_stores"],
+    )
+    def test_store_path_resumes(self, ray_session, strata_fixture, tmp_path, cfg):
+        """A store-path job (a synopsis that is not ``combinable``, or
+        ``combine = False``) resumed by ``job.resume()`` before its first
+        run restores its stores' slice state: crashed after fragment 3 and
+        resumed, it writes the files of an uninterrupted run."""
+        frags = strata_fixture
+        cfg = BuildConfiguration(parallelism=2, **cfg)
+
+        def job_for(out, ckpt=None):
+            job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
+            job.combine = False
+            return job
+
+        ref = job_for(str(tmp_path / "ref"))
+        try:
+            ref.run(frags)
+        finally:
+            ref.shutdown()
+        out, ckpt = str(tmp_path / "resumed"), str(tmp_path / "ckpt")
+        job = job_for(out, ckpt)
+        try:
+            job.run(frags[:3], final_flush=False)
+        finally:
+            job.shutdown()
+        job = job_for(out, ckpt)
+        try:
+            assert job.resume() and job.next_fragment == 2
+            job.run(frags)
+        finally:
+            job.shutdown()
+        emits, lines = _job_output(str(tmp_path / "ref"))
+        assert len(emits) > 2 and len(lines) == len(frags)
+        assert _job_output(out) == (emits, lines)
 
 
 class TestFlushKeepsWatermark:
