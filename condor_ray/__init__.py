@@ -3,8 +3,9 @@
 From-scratch re-expression of TU-Berlin-DIMA/Condor (PVLDB 14(10), 2021) on
 Ray Data: windowed approximate synopses (sketches, samplers, histograms,
 wavelets) over Parquet streams of conversation transcripts, built as
-``map_batches`` over zero-copy Arrow batches with actor-pool state stores,
-plus query evaluation as broadcast / as-of joins.
+``map_batches`` over zero-copy Arrow batches and, streaming, as tasks over
+slice state held in Ray's object store, plus query evaluation as
+broadcast / as-of joins.
 
 This package never calls ``ray.init``/``ray.shutdown`` — sessions are owned
 by the driver, bench.py, or the test fixture.

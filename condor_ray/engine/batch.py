@@ -71,94 +71,81 @@ class PartialSynopsisBuilder:
         self.config = config
         self.slice_us = slice_us
         self.extractor = KeyExtractor(config.key)
-        self.stratify_by = config.stratify_by
-        self.sample_elements = config.sample_elements
         self._proto = make_synopsis(config.synopsis, config.params)
-        self.timestamped = self._proto.timestamped
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return _empty_partials()
-        ts = ts_to_us(batch["ts"])
-        sid = ts // self.slice_us
-
-        if self.sample_elements:
-            values = _element_keys(batch)
-        else:
-            values = self.extractor(batch)
-
-        if self.stratify_by is not None:
-            # stratum key rules (null bucket, "<empty>" escape) live in
-            # one shared kernel — see stages/extract.py:stratum_codes
-            codes, strat_values = stratum_codes(batch[self.stratify_by])
-            gkey = sid * (len(strat_values) + 1) + codes
-        else:
-            strat_values = None
-            codes = None
-            gkey = sid
-
-        order = np.argsort(gkey, kind="stable")
-        gsorted = gkey[order]
-        boundaries = np.concatenate(
-            [[0], np.nonzero(np.diff(gsorted))[0] + 1, [n]]
-        )
-        out_slice, out_stratum, out_payload, out_n = [], [], [], []
         cfg = self.config
-        # hash once per batch; per-slice work is a cheap scatter (see
-        # Synopsis.precompute_batch)
-        pre = None if self.timestamped else self._proto.precompute_batch(values)
-        for b in range(len(boundaries) - 1):
-            lo, hi = boundaries[b], boundaries[b + 1]
-            idx = order[lo:hi]
+        out: list[tuple] = []
+
+        def fresh(sid: int, stratum: str, n: int) -> Synopsis:
             syn = make_synopsis(cfg.synopsis, cfg.params)
-            if pre is not None:
-                syn.apply_precomputed(pre, idx)
-            elif self.timestamped:
-                syn.update_batch(values[idx], timestamps=ts[idx])
-            else:
-                syn.update_batch(values[idx])
-            s = int(sid[idx[0]])
-            stratum = (
-                strat_values[codes[idx[0]]] if strat_values is not None else ""
-            )
             if stratum:
                 syn.set_partition_value(stratum)
-            out_slice.append(s)
-            out_stratum.append(stratum)
-            out_payload.append(syn.to_bytes())
-            out_n.append(hi - lo)
-        return pa.table(
-            {
-                "slice_id": pa.array(out_slice, type=pa.int64()),
-                "stratum": pa.array(out_stratum, type=pa.string()),
-                "payload": pa.array(out_payload, type=pa.binary()),
-                "n_rows": pa.array(out_n, type=pa.int64()),
-            }
-        )
+            out.append((sid, stratum, syn, n))
+            return syn
+
+        if batch.num_rows:
+            values = _element_keys(batch) if cfg.sample_elements else self.extractor(batch)
+            update_slices(self._proto, batch, values, self.slice_us, cfg.stratify_by, fresh)
+        return partials_table([(s, st, syn.to_bytes(), n) for s, st, syn, n in out])
+
+
+def update_slices(proto: Synopsis, batch: pa.Table, values: np.ndarray, slice_us: int,
+                  stratify_by: str | None, synopsis_for) -> None:
+    """Apply the rows of ``batch`` (keyed by ``values``) to one synopsis per
+    (slice, stratum) group, groups in (slice, stratum code) order and rows
+    in batch order: ``synopsis_for(slice, stratum, n_rows)`` returns each
+    group's synopsis.  Hash-then-scatter synopses hash the whole batch once
+    through ``proto`` (see ``Synopsis.precompute_batch``)."""
+    n = batch.num_rows
+    ts = ts_to_us(batch["ts"])
+    sid = ts // slice_us
+    if stratify_by is not None:
+        # stratum key rules (null bucket, "<empty>" escape) live in one
+        # shared kernel -- see stages/extract.py:stratum_codes
+        codes, labels = stratum_codes(batch[stratify_by])
+        gkey = sid * (len(labels) + 1) + codes
+    else:
+        gkey = sid
+    order = np.argsort(gkey, kind="stable")
+    bounds = np.concatenate([[0], np.nonzero(np.diff(gkey[order]))[0] + 1, [n]])
+    pre = None if proto.timestamped else proto.precompute_batch(values)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        idx = order[lo:hi]
+        stratum = labels[codes[idx[0]]] if stratify_by is not None else ""
+        syn = synopsis_for(int(sid[idx[0]]), stratum, hi - lo)
+        if pre is not None:
+            syn.apply_precomputed(pre, idx)
+        elif proto.timestamped:
+            syn.update_batch(values[idx], timestamps=ts[idx])
+        else:
+            syn.update_batch(values[idx])
 
 
 def _element_keys(batch: pa.Table) -> np.ndarray:
-    """Vectorized '{conv_id}:{turn_idx}' element keys (Arrow string join)."""
+    """Vectorized '{conv_id}:{turn_idx}' element keys (Arrow string join;
+    a dictionary-encoded conv_id, as the streaming split reads it, is
+    decoded first: the join has no dictionary kernel)."""
     import pyarrow.compute as pc
 
-    joined = pc.binary_join_element_wise(
-        batch["conv_id"].combine_chunks()
-        if isinstance(batch["conv_id"], pa.ChunkedArray)
-        else batch["conv_id"],
-        pc.cast(batch["turn_idx"], pa.string()),
-        ":",
-    )
+    conv = batch["conv_id"]
+    if isinstance(conv, pa.ChunkedArray):
+        conv = conv.combine_chunks()
+    if pa.types.is_dictionary(conv.type):
+        conv = conv.dictionary_decode()
+    joined = pc.binary_join_element_wise(conv, pc.cast(batch["turn_idx"], pa.string()), ":")
     return joined.to_numpy(zero_copy_only=False)
 
 
-def _empty_partials() -> pa.Table:
+def partials_table(partials: list[tuple]) -> pa.Table:
+    """Rows ``(slice_id, stratum, payload, n_rows)`` of serialized partial
+    synopses as a partial table with those columns."""
     return pa.table(
         {
-            "slice_id": pa.array([], type=pa.int64()),
-            "stratum": pa.array([], type=pa.string()),
-            "payload": pa.array([], type=pa.binary()),
-            "n_rows": pa.array([], type=pa.int64()),
+            "slice_id": pa.array([p[0] for p in partials], type=pa.int64()),
+            "stratum": pa.array([p[1] for p in partials], type=pa.string()),
+            "payload": pa.array([p[2] for p in partials], type=pa.binary()),
+            "n_rows": pa.array([p[3] for p in partials], type=pa.int64()),
         }
     )
 

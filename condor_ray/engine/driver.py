@@ -54,6 +54,9 @@ The driver owns the rest:
   (``_load_state``) and cuts the manifest back to it (``checkpoint.py``).
 - The final flush, ``result_dataset()`` (the files of ``emitted_closes``;
   typed and empty when nothing was emitted) and ``shutdown()``.
+- **CPU guard**: each state actor reserves ``ACTOR_CPUS``.  When the actors
+  leave less than one CPU of the session for the split and close tasks,
+  the constructor kills them and raises ValueError instead of hanging.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+from ..runtime import cluster_cpus
 from ..stages.extract import ts_to_us
 from .checkpoint import latest_checkpoint, prune_checkpoints, truncate_manifest
 from .emit import atomic_emit
@@ -74,6 +78,9 @@ from .emit import atomic_emit
 NEG_INF = -(2**62)
 POS_INF = 2**62
 _DRAIN_EVERY = 32
+# the CPU each state actor reserves; the split and close tasks need one
+# whole CPU beside the actors, or they never start
+ACTOR_CPUS = 0.5
 
 
 def fragment_ts_stats(path: str) -> tuple[int, int]:
@@ -156,6 +163,14 @@ class FragmentStreamJob:
 
     def __init__(self, out_dir: str, stores: list, checkpoint_dir: str | None = None,
                  checkpoint_every: int = 4):
+        if stores and cluster_cpus() - ACTOR_CPUS * len(stores) < 1:
+            for s in stores:
+                ray.kill(s)
+            raise ValueError(
+                f"{len(stores)} state actors of {ACTOR_CPUS} CPU each leave less "
+                f"than one of the session's {cluster_cpus()} CPUs for the split "
+                "and close tasks, which would never start: lower the parallelism"
+            )
         self.out_dir = out_dir
         self.stores = stores
         self.checkpoint_dir = checkpoint_dir

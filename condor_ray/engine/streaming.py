@@ -3,17 +3,21 @@ stream that ``driver.py`` walks.
 
 The Ray-native counterpart of Condor's Scotty path
 (conn/.../processor/SynopsisBuilder.java:298-342 + KeyedScottyWindowOperator).
-Slice state has one of two layouts:
+The job keeps no actors.  Its slice state is a list of Arrow tables that
+the driver holds as object refs, in one of two layouts:
 
 - **Cells**, for a synopsis whose partial depends only on per-key counts
   (``Synopsis.combinable``): Count-Min, whose counters are linear in the key
-  counts, and HyperLogLog, whose registers are idempotent per key.  The job
-  keeps no actors.  Its state is a list of Arrow cell tables that the driver
-  holds as object refs: one per fragment since the last close, plus one
-  carry table of the slices still open.
+  counts, and HyperLogLog, whose registers are idempotent per key.  The
+  state is one cell table per fragment since the last close, plus one carry
+  table of the slices still open.
 - **Objects**, for every other synopsis (and for ``job.combine = False``,
-  set before the first ``run``): P ``PartitionStateStore`` actors hold one
-  synopsis per (stratum, slice) (``state/store.py``).
+  set before the first ``run``): P row shards per fragment since the last
+  close, plus one carry per partition, a partial table ``(slice_id,
+  stratum, payload, n_rows)`` of the open slices' serialized synopses, one
+  per (stratum, slice).  Per-partition partials stay because Bloom's
+  AND-merge and the samplers make the emitted bytes depend on the
+  partitioning.
 
 The parts:
 
@@ -22,9 +26,9 @@ The parts:
   ``hot_key_threshold``) are salted round-robin across partitions, which is
   safe because mergeable-synopsis state is keyed by (stratum, slice), not by
   conv (SURVEY §4 skew row).  The object layout cuts P row shards (one Ray
-  object each, so each shard moves only to its actor).  In the cell layout
-  the routed partition is only a column, ``__part``, and only in
-  HyperLogLog's tables, whose preserved merge quirk reads it (see Window
+  object each, so each shard moves only to its partition's task).  In the
+  cell layout the routed partition is only a column, ``__part``, and only
+  in HyperLogLog's tables, whose preserved merge quirk reads it (see Window
   close).
 - **Combiner** (cell layout): after the late filter, salting and key
   extraction, one sort groups the fragment's rows by (slice, stratum,
@@ -42,22 +46,25 @@ The parts:
   rows never reach closed windows.
 - **Window close**: window w closes when watermark >= end(w).  Its slices
   are frozen by then (any update to them would be late).  In the object
-  layout the close cycle snapshots slice partials from all P stores, and one
-  task merges them per slice, then per window.  In the cell layout one task
-  (``_merge_and_emit``) reads the cell tables of fragments <= k: over the
-  rows of the closing windows' slices, it hashes each distinct key once,
-  reduces the cells per (stratum, slice) once (Count-Min into a scratch
-  once the cells reach 1/8 of the sketches, else by a sort), folds each
-  window from its slices and builds only the synopses it emits.  Either way
+  layout one task per partition (``_ingest_partition``) restores the
+  partition's carry, ingests its waiting row shards one fragment at a time,
+  in order, and returns the closing slices' partials plus the new carry;
+  one task (``_merge_partials_and_emit``) merges the partials per slice,
+  then per window.  In the cell layout one task (``_merge_and_emit``) reads
+  the cell tables of fragments <= k: over the rows of the closing windows'
+  slices, it hashes each distinct key once, reduces the cells per
+  (stratum, slice) once (Count-Min into a scratch once the cells reach 1/8
+  of the sketches, else by a sort), folds each window from its slices and
+  builds only the synopses it emits.  Either way
   the task writes ``emit-f{k:05d}.parquet``, with the same bytes: a
   Count-Min window is sparse iff nnz*3 < width*height, and a HyperLogLog
   window caches its estimate iff it folds two or more (partition, slice)
   partials (the reference's merge caches it; an unmerged partial holds 0).
-  Slices are evicted once no remaining window needs them: the cell close
-  also returns the rows of the slices that stay open, which replace the
-  tables it read (the tables are sorted runs, merged by a stable sort), and
-  ``_FOLD_EVERY`` fragments without a close are folded the same way, so
-  live state stays bounded.
+  Slices are evicted once no remaining window needs them: a close also
+  returns the state of the slices that stay open (the cell rows, merged as
+  sorted runs by a stable sort, or the partials), which replaces the tables
+  it read, and ``_FOLD_EVERY`` fragments without a close are folded the
+  same way, so live state stays bounded.
 
 This module also holds the conv-hash routing every streaming splitter shares
 (``conv_partition_ids``, ``split_by_conv``).
@@ -77,12 +84,12 @@ from ..config import BuildConfiguration
 from ..hashing import java_string_hash_arrow
 from ..runtime import cluster_cpus
 from ..stages.extract import stable_partition_order, stratum_codes, ts_to_us
-from ..state.store import PartitionStateStore
 from ..synopses.base import Synopsis
 from ..synopses.registry import get_synopsis_class, make_synopsis
 from ..synopses.sketches import CountMinSketch, HyperLogLogSketch
 from ..windows import SlidingWindow, TumblingWindow, slices_of_window
-from .batch import _common_slice_us, _window_kind
+from .batch import (_common_slice_us, _element_keys, _window_kind,
+                    partials_table, update_slices)
 from .driver import NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
 from .emit import write_atomic
 
@@ -248,6 +255,32 @@ def _count_table(sid: np.ndarray, strata: dict, part, keys, counts) -> pa.Table:
     })
 
 
+def _slice_groups(
+    table: pa.Table, part: np.ndarray, sid: np.ndarray, stratum: str | None,
+    parallelism: int,
+) -> tuple[np.ndarray, list, int, list]:
+    """Each row's (slice, stratum, partition) group, numbered from the
+    table's first slice ``s0`` in that order, with the sorted stratum
+    labels (``stratum_codes`` labels; ``[""]`` unstratified).  Returns
+    ``(group, labels, s0, touched)``, ``touched`` listing per partition the
+    (slice, stratum label) pairs its rows touch: the run summary's
+    per-partition open slices."""
+    labels, code = [""], 0
+    if stratum is not None:
+        code, raw = stratum_codes(table[stratum])
+        # sorted labels: every cell table orders its rows as ``_carry`` does
+        labels = sorted(set(raw))
+        at = {v: i for i, v in enumerate(labels)}
+        code = np.array([at[v] for v in raw], dtype=np.int64)[code]
+    s0 = int(sid.min()) if len(sid) else 0
+    group = ((sid - s0) * len(labels) + code) * parallelism + part
+    touched: list[list] = [[] for _ in range(parallelism)]
+    for g in _distinct(group).tolist():
+        g, p = divmod(g, parallelism)
+        touched[p].append((g // len(labels) + s0, labels[g % len(labels)]))
+    return group, labels, s0, touched
+
+
 def _count_cells(
     table: pa.Table, part: np.ndarray, sid: np.ndarray, keys: np.ndarray,
     stratum: str | None, parallelism: int, by_part: bool = False,
@@ -258,20 +291,7 @@ def _count_cells(
     the synopsis hashes, strata as their ``stratum_codes`` labels; the
     partition is a dimension only ``by_part``.  Also returns, per
     partition, the (slice, stratum label) pairs the rows touch."""
-    labels, code = [""], 0
-    if stratum is not None:
-        code, raw = stratum_codes(table[stratum])
-        # sorted labels: every table orders its rows as ``_carry`` does
-        labels = sorted(set(raw))
-        at = {v: i for i, v in enumerate(labels)}
-        code = np.array([at[v] for v in raw], dtype=np.int64)[code]
-    s0 = int(sid.min()) if len(sid) else 0
-    # slice, then stratum, then partition
-    group = ((sid - s0) * len(labels) + code) * parallelism + part
-    touched: list[list] = [[] for _ in range(parallelism)]
-    for g in _distinct(group).tolist():
-        g, p = divmod(g, parallelism)
-        touched[p].append((g // len(labels) + s0, labels[g % len(labels)]))
+    group, labels, s0, touched = _slice_groups(table, part, sid, stratum, parallelism)
     if not by_part:
         group //= parallelism
     group, keys, counts = _grouped(group, keys)
@@ -300,21 +320,23 @@ def _partition_fragment(
     shard_columns: list[str] | None = None,
     combine: bool = False,
     by_part: bool = False,
+    stratify_by: str | None = None,
 ):
     """Split one fragment by conv hash; drop+count late rows.
 
     Without ``combine``: returns (meta_dict, shard_0, ..., shard_{P-1}) —
-    row shards as separate return values, so Ray ships each one only to its
-    partition's actor.  ``shard_columns`` projects the shards onto the
-    columns their store reads (None: every column read); the routing column
-    is used here and need not ship.
+    row shards as separate return values, so each partition's close task
+    fetches only its own.  ``shard_columns`` projects the shards onto the
+    columns the partition task reads (None: every column read); the routing
+    column is used here and need not ship.
 
     With ``combine`` (and a ``key_spec``): returns (meta_dict, cells), the
     fragment's cell table (``_count_cells``, with a ``__part`` column iff
-    ``by_part``); the stratum is the shard column other than ts and __key32,
-    if any.  ``meta`` then also holds
-    ``part_rows`` (rows kept per partition) and ``groups`` (the (slice,
-    stratum label) pairs of each partition)."""
+    ``by_part``).
+
+    Either way ``meta`` also holds ``part_rows`` (rows kept per partition)
+    and ``groups`` (the (slice, ``stratify_by`` label) pairs of each
+    partition)."""
     dict_cols = [
         c for c in (columns or ["conv_id", "role", "tool", "text"])
         if c in ("conv_id", "role", "tool", "text")
@@ -344,6 +366,7 @@ def _partition_fragment(
             part[hot_mask] = (
                 part[hot_mask] + np.arange(int(hot_mask.sum())) % parallelism
             ) % parallelism
+    meta["part_rows"] = np.bincount(part, minlength=parallelism).tolist()
 
     if key_spec is not None:
         # compute the synopsis key here (once) so the state doesn't re-hash;
@@ -355,17 +378,16 @@ def _partition_fragment(
 
             key_col = KeyExtractor(key_spec)(table)
         if combine:
-            stratum = next(
-                (c for c in shard_columns or () if c not in ("ts", "__key32")), None
-            )
             cells, meta["groups"] = _count_cells(
-                table, part, ts // slice_us, key_col, stratum, parallelism, by_part
+                table, part, ts // slice_us, key_col, stratify_by, parallelism, by_part
             )
-            meta["part_rows"] = np.bincount(part, minlength=parallelism).tolist()
             return meta, cells
         table = table.append_column(
             "__key32", pa.array(np.ascontiguousarray(key_col))
         )
+    meta["groups"] = _slice_groups(
+        table, part, ts // slice_us, stratify_by, parallelism
+    )[3]
     if shard_columns is not None:
         table = table.select(shard_columns)
     return (meta, *_cut_shards(table, part, parallelism))
@@ -575,6 +597,55 @@ def _write_emit(emit_path, synopsis_type, kinds, starts, ends, strs, payloads, c
         ))
 
 
+@ray.remote(num_returns=2)
+def _ingest_partition(
+    config: BuildConfiguration, slice_us: int, wanted: list[int], horizon: int,
+    *tables: pa.Table,
+) -> tuple[pa.Table, pa.Table]:
+    """The object layout's state of one partition, one task per close: take
+    the partials a partial table carries, then ingest the row shards one
+    fragment at a time, in order, into one synopsis per (stratum, slice).
+    Returns the partials of the slices in ``wanted`` (the close's snapshot),
+    ordered by (slice, stratum), and the carry of every slice that ends
+    after ``horizon``, as partial tables.  A carried partial is deserialized
+    only when rows reach it; otherwise its bytes pass through unchanged."""
+    proto = make_synopsis(config.synopsis, config.params)
+    slices: dict[tuple[str, int], list] = {}  # (stratum, slice) -> [partial, rows]
+
+    def partial(sid: int, stratum: str, n: int) -> Synopsis:
+        entry = slices.get((stratum, sid))
+        if entry is None:
+            syn = make_synopsis(config.synopsis, config.params)
+            if stratum:
+                syn.set_partition_value(stratum)
+            entry = slices[(stratum, sid)] = [syn, 0]
+        elif isinstance(entry[0], bytes):
+            entry[0] = Synopsis.from_bytes(entry[0])
+        entry[1] += n
+        return entry[0]
+
+    for t in tables:
+        if "payload" in t.column_names:  # a carry
+            for sid, stratum, payload, n in zip(
+                t["slice_id"].to_pylist(), t["stratum"].to_pylist(),
+                t["payload"].to_pylist(), t["n_rows"].to_pylist(),
+            ):
+                slices[(stratum, sid)] = [payload, n]
+        elif t.num_rows:
+            values = (_element_keys(t) if config.sample_elements
+                      else t["__key32"].to_numpy())
+            update_slices(proto, t, values, slice_us, config.stratify_by, partial)
+    keys, wanted = sorted(slices, key=lambda k: (k[1], k[0])), set(wanted)
+    snapshot = [k for k in keys if k[1] in wanted]
+    carry = [k for k in keys if (k[1] + 1) * slice_us > horizon]
+    payload = {k: p if isinstance(p := slices[k][0], bytes) else p.to_bytes()
+               for k in {*snapshot, *carry}}
+    return tuple(
+        partials_table([(k[1], k[0], payload[k], slices[k][1]) for k in ks])
+        for ks in (snapshot, carry)
+    )
+
+
 @ray.remote
 def _merge_partials_and_emit(
     emit_path: str, emit_spec: list[dict], synopsis_type: str, *tables: pa.Table
@@ -693,13 +764,12 @@ def _evict_horizon(wm_us: int, windows, slice_us: int) -> int:
 
 
 class StreamingSynopsisJob(FragmentStreamJob):
-    """Sliced mergeable synopses: cell tables for ``combinable`` synopses,
-    else P ``PartitionStateStore`` actors holding (stratum, slice) partials
-    (see the module docstring).  Each close cycle merges the frozen slices
-    of every window the watermark has passed."""
+    """Sliced mergeable synopses, with no actors: cell tables for
+    ``combinable`` synopses, else per-partition partial tables (see the
+    module docstring).  Each close cycle merges the frozen slices of every
+    window the watermark has passed."""
 
     late_at_ingest = False
-    stats_call = "stats"
     cursor_fields = FragmentStreamJob.cursor_fields + ("closed_through",)
     emit_schema = pa.schema([
         ("window_kind", pa.string()), ("window_start", pa.int64()),
@@ -734,22 +804,23 @@ class StreamingSynopsisJob(FragmentStreamJob):
         if config.stratify_by:
             need.add(config.stratify_by)
         self.columns = sorted(need if columns is None else set(columns) | need)
-        # what the stores read once the split has computed __key32; sampled
-        # elements are keyed in the store, so those shards keep every column
+        # what the partition tasks read once the split has computed __key32;
+        # sampled elements are keyed there, so those shards keep every column
         self.shard_columns = None if config.sample_elements else sorted(
             {"ts", "__key32", config.stratify_by} - {None}
         )
         # a synopsis whose partial depends only on per-key counts keeps its
-        # state as cell tables (set False before the first run for stores)
+        # state as cell tables (set False before the first run for partials)
         self.combine = (not config.sample_elements
                         and get_synopsis_class(config.synopsis).combinable)
         # only HyperLogLog's estimate rule reads a cell's partition
         self.by_part = issubclass(get_synopsis_class(config.synopsis), HyperLogLogSketch)
         self.closed_through: list[int] = [_NEG_INF] * len(self.windows)
-        # the cell layout: live (fragment, cell table ref) pairs, where a
-        # close's carry stands at the fragment it closed; and the run
+        # the live state: (fragment, table refs) pairs, one cell table or P
+        # row shards a fragment, where a close's carry (one cell table or P
+        # partial tables) stands at the fragment it closed; and the run
         # summary's per-partition figures, replayed from ``_events``
-        self.cells: list[tuple[int, ray.ObjectRef]] = []
+        self.cells: list[tuple[int, list]] = []
         self._events: list[tuple[str, int]] = []
         self._groups: dict[int, list] = {}
         self._rows = [0] * self.parallelism
@@ -768,23 +839,15 @@ class StreamingSynopsisJob(FragmentStreamJob):
         max(4, 2 x CPUs) fragments ahead, with carry-in watermarks from the
         footer statistics.  Its output equals the sequential run's: the late
         filter depends only on each fragment's carry-in watermark, a close
-        reads only the cells of fragments up to its own, and slice ingest
+        reads only the state of fragments up to its own, and slice ingest
         commutes across fragments."""
-        if not self.combine:
-            self._start_stores()
-        # a run that raised may have left cells of fragments it did not take in
+        # a run that raised may have left state of fragments it did not take in
         self.cells = [(i, r) for i, r in self.cells if i < self.next_fragment]
         self._events = [e for e in self._events
                         if e[0] == "evict" or e[1] < self.next_fragment]
         pipelined = self.checkpoint_dir is None and pipelined is not False
         lookahead = 1 + max(4, 2 * cluster_cpus()) if pipelined else 1
         return self._run(fragment_paths, resume, final_flush, lookahead)
-
-    def _start_stores(self) -> None:
-        """The object layout's actors, started by the first run or resume."""
-        if not self.stores:
-            self.stores = [PartitionStateStore.remote(p, self.config, self.slice_us)
-                           for p in range(self.parallelism)]
 
     def _split(self, k: int, path: str, wm: int) -> list:
         return _partition_task.options(
@@ -800,18 +863,16 @@ class StreamingSynopsisJob(FragmentStreamJob):
             self.shard_columns,
             self.combine,
             self.by_part,
+            self.config.stratify_by,
         )
 
     def _ingest(self, k: int, shards: list, wm: int) -> list:
-        if not self.combine:
-            return super()._ingest(k, shards, wm)
-        self.cells.append((k, shards[0]))
+        self.cells.append((k, shards))
         self._events.append(("add", k))
         return []
 
     def _resolved(self, k: int, meta: dict) -> None:
-        if self.combine:
-            self._groups[k] = (meta["groups"], meta["part_rows"])
+        self._groups[k] = (meta["groups"], meta["part_rows"])
 
     def _emit_spec(self, wm: int) -> list[dict]:
         """Every window whose end <= ``wm`` and not yet emitted, grouped by
@@ -836,30 +897,34 @@ class StreamingSynopsisJob(FragmentStreamJob):
         return emit_spec
 
     def _close(self, wm: int, idx: int):
-        """Emit the windows ``_emit_spec(wm)`` lists: an async merge+emit task
-        fed directly by the stores' slice snapshots or by the live cell
-        tables (the driver never touches synopsis payloads)."""
+        """Emit the windows ``_emit_spec(wm)`` lists from the live tables of
+        fragments <= ``idx``, and replace those tables by the close's carry:
+        one close task over the cell tables, or one ``_ingest_partition``
+        task per partition whose snapshots a merge task folds (the driver
+        never touches synopsis payloads).  Without windows to emit, this
+        only folds, once ``_FOLD_EVERY`` fragments wait."""
         emit_spec = self._emit_spec(wm)
         horizon = _evict_horizon(wm, self.windows, self.slice_us)
-        if not self.combine:
-            if not emit_spec:
-                return None
-            needed = sorted({s for spec in emit_spec for s in spec["slices"]})
-            table_refs = [
-                s.collect_closed_slices_snapshot.remote(needed, horizon)
-                for s in self.stores
-            ]
-            return _merge_partials_and_emit.remote(
-                self.emit_path(idx), emit_spec, self.config.synopsis, *table_refs
-            )
         live = [r for i, r in self.cells if i <= idx]
         if not emit_spec and len(live) <= _FOLD_EVERY:
             return None
-        n, carry = _merge_and_emit.remote(
-            self.emit_path(idx), emit_spec, self.config.synopsis, self.config.params,
-            self.slice_us, horizon, *live,
-        )
-        self.cells = [(idx, carry)] + [(i, r) for i, r in self.cells if i > idx]
+        path, synopsis = self.emit_path(idx), self.config.synopsis
+        if self.combine:
+            n, carry = _merge_and_emit.remote(
+                path, emit_spec, synopsis, self.config.params, self.slice_us, horizon,
+                *(r[0] for r in live),
+            )
+            carry = [carry]
+        else:
+            wanted = sorted({s for spec in emit_spec for s in spec["slices"]})
+            snapshots, carry = zip(*(
+                _ingest_partition.remote(self.config, self.slice_us, wanted, horizon,
+                                         *(r[p] for r in live))
+                for p in range(self.parallelism)
+            ))
+            n = None if not emit_spec else _merge_partials_and_emit.remote(
+                path, emit_spec, synopsis, *snapshots)
+        self.cells = [(idx, list(carry))] + [(i, r) for i, r in self.cells if i > idx]
         self._events.append(("evict", horizon))
         self._account()
         return n if emit_spec else None
@@ -872,9 +937,9 @@ class StreamingSynopsisJob(FragmentStreamJob):
     def _account(self) -> None:
         """Replay the ingests and evictions since the last call, in the order
         the driver submitted them, into the per-partition figures: rows
-        ingested, live (slice, stratum) pairs and their high-water mark (a
-        store's ``stats``).  The replay stops at the first ingest whose meta
-        has not resolved, so only in-flight fragments wait in ``_events``."""
+        ingested, live (slice, stratum) pairs and their high-water mark.
+        The replay stops at the first ingest whose meta has not resolved,
+        so only in-flight fragments wait in ``_events``."""
         done = 0
         for kind, arg in self._events:
             if kind == "add":
@@ -893,9 +958,9 @@ class StreamingSynopsisJob(FragmentStreamJob):
         del self._events[:done]
 
     def _summary(self, stats: list) -> dict:
-        if not self.combine:
-            return {"partitions": stats}
         self._account()
+        # ``ingest_sec``/``collect_sec`` stay in the record's format for its
+        # readers (perfbench sums them); nothing times them, so they read 0
         return {"partitions": [
             {"partition_id": p, "rows_ingested": self._rows[p],
              "open_slices": len(self._live[p]), "max_open_slices": self._max_live[p],
@@ -903,36 +968,37 @@ class StreamingSynopsisJob(FragmentStreamJob):
             for p in range(self.parallelism)
         ]}
 
-    # -- checkpoint/resume of the cell layout --------------------------------
+    # -- checkpoint/resume: the live tables and the summary figures -----------
     def _save_state(self, tmp: str) -> None:
-        if not self.combine:
-            return super()._save_state(tmp)
         self._account()
-        for i, table in enumerate(ray.get([r for _, r in self.cells])):
-            with pa.OSFile(os.path.join(tmp, f"cells-{i:04d}.arrow"), "wb") as f:
+        tables = ray.get([r for _, refs in self.cells for r in refs])
+        names = [f"cells-{i:04d}-{p:04d}.arrow"
+                 for i, (_, refs) in enumerate(self.cells) for p in range(len(refs))]
+        for name, table in zip(names, tables):
+            with pa.OSFile(os.path.join(tmp, name), "wb") as f:
                 with pa.ipc.new_file(f, table.schema) as w:
                     w.write_table(table)
         with open(os.path.join(tmp, "partitions.json"), "w") as f:
             json.dump({"rows": self._rows, "live": [sorted(s) for s in self._live]}, f)
 
     def _load_state(self, path: str) -> None:
-        if not self.combine:
-            self._start_stores()
-            return super()._load_state(path)
-        names = sorted(n for n in os.listdir(path) if n.startswith("cells-"))
-        self.cells = []
-        for name in names:
+        # cells-{entry}-{table}.arrow; a cell-layout checkpoint written
+        # before the object layout took tables holds cells-{entry}.arrow
+        entries: dict[str, list] = {}
+        for name in sorted(n for n in os.listdir(path) if n.startswith("cells-")):
             with pa.OSFile(os.path.join(path, name)) as f:
-                self.cells.append((-1, ray.put(pa.ipc.open_file(f).read_all())))
+                table = pa.ipc.open_file(f).read_all()
+            entries.setdefault(name.split("-")[1], []).append(ray.put(table))
+        self.cells = [(-1, refs) for _, refs in sorted(entries.items())]
         with open(os.path.join(path, "partitions.json")) as f:
             parts = json.load(f)
         self._rows = parts["rows"]
         self._live = [set(map(tuple, s)) for s in parts["live"]]
-        self._max_live = [0] * self.parallelism  # a restored store's, too
+        self._max_live = [0] * self.parallelism  # restarts at a resume
         self._events, self._groups = [], {}
 
     def shutdown(self) -> None:
-        self.cells = []  # release the live cell tables
+        self.cells = []  # release the live tables
         super().shutdown()
 
 

@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 
 from ..stages.extract import ts_to_us
-from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .driver import ACTOR_CPUS, NEG_INF as _NEG_INF, FragmentStreamJob
 from .streaming import submit_split_by_conv
 
 _OUT_SCHEMA = pa.schema(
@@ -46,7 +46,7 @@ _OUT_SCHEMA = pa.schema(
 )
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote(num_cpus=ACTOR_CPUS)
 class AsofStateStore:
     def __init__(
         self,

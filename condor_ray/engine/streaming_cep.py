@@ -25,7 +25,7 @@ import ray
 
 from ..pipelines.cep import Step, find_match_starts, find_relaxed_matches
 from ..stages.extract import ts_to_us
-from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .driver import ACTOR_CPUS, NEG_INF as _NEG_INF, FragmentStreamJob
 from .streaming import submit_split_by_conv
 
 _EMIT_SCHEMA = {
@@ -44,7 +44,7 @@ _EMIT_SORT = [
 ]
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote(num_cpus=ACTOR_CPUS)
 class PatternStateStore:
     """Per-partition CEP state, vectorized ACROSS conversations.
 

@@ -39,7 +39,7 @@ from ..stages.extract import KeyExtractor, ts_to_us
 from ..synopses.base import Synopsis
 from ..synopses.registry import make_synopsis
 from ..windows import SessionWindow
-from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .driver import ACTOR_CPUS, NEG_INF as _NEG_INF, FragmentStreamJob
 from .streaming import submit_split_by_conv
 
 _EMPTY_SCHEMA = {
@@ -56,7 +56,7 @@ _EMPTY_SCHEMA = {
 _EMIT_SORT = [("conv_id", "ascending"), ("session_start", "ascending")]
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote(num_cpus=ACTOR_CPUS)
 class SessionStateStore:
     """Per-partition session state: conv -> open sessions (gap-merge)."""
 

@@ -40,7 +40,7 @@ from ..config import KeySpec
 from ..stages.extract import KeyExtractor, ts_to_us
 from ..synopses.wavelets import DistributedWaveletsManager, WaveletSynopsis
 from ..windows import TumblingWindow
-from .driver import NEG_INF as _NEG_INF, FragmentStreamJob
+from .driver import ACTOR_CPUS, NEG_INF as _NEG_INF, FragmentStreamJob
 from .emit import write_atomic
 from .ordered import turn_order
 
@@ -171,7 +171,7 @@ def _close_wavelet_windows(emit_path: str, size_us: int, size: int, *maps) -> in
     }))
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote(num_cpus=ACTOR_CPUS)
 class WaveletBuilderActor:
     """Keyed builder p: one WaveletSynopsis per open window, fed its
     substream in append order (pos is contiguous per (window, p))."""

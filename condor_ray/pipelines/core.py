@@ -542,7 +542,7 @@ def streaming_pattern_matches(sf_dir: str, steps, within_ms: int | None = None,
 
 
 def streaming_windowed_counts(sf_dir: str, window: TumblingWindow, parallelism: int = 4):
-    """Run the STREAMING engine (state-store actors, watermarks, exactly-once
+    """Run the STREAMING engine (sliced state tables, watermarks, exactly-once
     sink) over the events-derived transcript stream and return per-window
     exact counts — SQL-checkable because the events stream has no late rows.
     """

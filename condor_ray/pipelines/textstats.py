@@ -9,7 +9,6 @@ check + accuracy/pytest oracles).
 
 from __future__ import annotations
 
-import re
 
 import numpy as np
 import pandas as pd
@@ -407,48 +406,15 @@ SELECT doc_id, n_words, mean_word_len, punct_ratio, stopword_ratio,
 FROM ratios"""
 
 
-class LangId:
-    """Character n-gram + stopword heuristic language classifier.
-
-    CJK detection by codepoint range; otherwise argmax over per-language
-    stopword hits with 'en' fallback — deterministic, no model files."""
-
-    def __init__(self):
-        self.tables = {k: v for k, v in _STOPWORDS.items()}
-
-    def classify(self, text: str) -> str:
-        text = text or ""  # null text ≡ '' (same convention as the stages)
-        if any("一" <= c <= "鿿" for c in text[:200]):
-            return "zh"
-        # tokenize with the SAME whitespace class as the vectorized
-        # language_id (_WORD_RE) — str.split() also splits on \x0b and
-        # Unicode spaces, which made scalar and vectorized disagree on
-        # corpora containing them
-        words = [w.lower() for w in re.findall(_WORD_RE, text)[:80]]
-        best, best_hits = "en", -1
-        for lang, stops in self.tables.items():
-            hits = sum(w in stops for w in words)
-            if hits > best_hits:
-                best, best_hits = lang, hits
-        return best
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"].astype(np.int64),
-                "lang_pred": batch["text"].map(self.classify),
-            }
-        )
-
-
 _LANGS = ("en", "de", "fr", "es")  # argmax tie-break order (first max wins)
 
 
 def language_id(ds):
     """Vectorized language ID: one polars pass per batch (CJK regex probe on
     the first 200 chars, stopword hits per language over the first 80
-    lowercased words, first-max argmax) — scalar-equivalent to
-    ``LangId.classify`` and SQL-twinnable (``lang_id_sql``)."""
+    lowercased words, first-max argmax) — equal to a
+    per-text loop over the same rules (the tests' scalar oracle) and
+    SQL-twinnable (``lang_id_sql``)."""
     stops = {lang: sorted(_STOPWORDS[lang]) for lang in _LANGS}
 
     def stage(batch: pa.Table) -> pa.Table:

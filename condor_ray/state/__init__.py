@@ -1,3 +1,1 @@
-from .store import PartitionStateStore
-
-__all__ = ["PartitionStateStore"]
+"""The streaming join's per-partition state actor (``join_store.py``)."""

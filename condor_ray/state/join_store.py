@@ -21,10 +21,11 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from ..engine.driver import ACTOR_CPUS
 from ..stages.extract import ts_to_us
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote(num_cpus=ACTOR_CPUS)
 class JoinStateStore:
     def __init__(self, partition_id: int, bound_us: int):
         self.partition_id = partition_id

@@ -1,6 +1,8 @@
 """Training-data pipelines: dedup recall, ANN correctness/recall, text
 analysis accuracy, multimodal stub plumbing."""
 
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -10,6 +12,32 @@ import pytest
 import ray.data as rd
 
 SF = "/root/testdata/sf0.01"
+
+
+class LangId:
+    """Scalar oracle of ``textstats.language_id``: character n-gram +
+    stopword heuristic language classifier.
+
+    CJK detection by codepoint range; otherwise argmax over per-language
+    stopword hits with 'en' fallback — deterministic, no model files."""
+
+    def classify(self, text: str) -> str:
+        from condor_ray.pipelines.textstats import _STOPWORDS, _WORD_RE
+
+        text = text or ""  # null text ≡ '' (same convention as the stages)
+        if any("一" <= c <= "鿿" for c in text[:200]):
+            return "zh"
+        # tokenize with the SAME whitespace class as the vectorized
+        # language_id (_WORD_RE) — str.split() also splits on \x0b and
+        # Unicode spaces, which made scalar and vectorized disagree on
+        # corpora containing them
+        words = [w.lower() for w in re.findall(_WORD_RE, text)[:80]]
+        best, best_hits = "en", -1
+        for lang, stops in _STOPWORDS.items():
+            hits = sum(w in stops for w in words)
+            if hits > best_hits:
+                best, best_hits = lang, hits
+        return best
 
 
 @pytest.fixture(scope="module")
@@ -658,7 +686,7 @@ class TestQualitySql:
     def test_lang_id_matches_duckdb_and_scalar(self, ray_session, docs_ds, docs_pd):
         import duckdb
 
-        from condor_ray.pipelines.textstats import LangId, language_id, lang_id_sql
+        from condor_ray.pipelines.textstats import language_id, lang_id_sql
 
         got = language_id(docs_ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
         con = duckdb.connect()
@@ -862,7 +890,7 @@ class TestWave4Regressions:
         import pandas as pd
         import ray.data as rd
 
-        from condor_ray.pipelines.textstats import LangId, language_id
+        from condor_ray.pipelines.textstats import language_id
 
         texts = [
             "le\x0bla\x0bles\x0bet\x0best\x0bun\x0bune\x0bdes\x0bdu\x0bpour",

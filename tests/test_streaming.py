@@ -477,7 +477,7 @@ class TestCombiner:
     """Count-Min and HyperLogLog keep slice state as cell tables: the split
     combines each fragment into per-(slice, stratum, partition, key) counts
     in a compact encoding, and the close folds them into the partials the
-    stores build from rows."""
+    object layout builds from rows."""
 
     @pytest.mark.parametrize("stratum", [None, "role"])
     def test_count_shards_sum_to_kept_rows(self, ray_session, tiny_fixture, stratum):
@@ -496,9 +496,9 @@ class TestCombiner:
             wm = int(np.median(ts))  # a carry-in watermark that makes rows late
             args = (path, 2, slice_us, wm, 3, ["conv_id", "role", "ts"], key,
                     shard_columns)
-            meta, *rows = _partition_fragment(*args)
-            meta_c, cells = _partition_fragment(*args, True, True)
-            meta_n, flat = _partition_fragment(*args, True)
+            meta, *rows = _partition_fragment(*args, stratify_by=stratum)
+            meta_c, cells = _partition_fragment(*args, True, True, stratify_by=stratum)
+            meta_n, flat = _partition_fragment(*args, True, stratify_by=stratum)
             assert {k: meta_c[k] for k in meta} == meta
             assert meta_n == meta_c
             assert meta_c["part_rows"] == [r.num_rows for r in rows]
@@ -525,16 +525,17 @@ class TestCombiner:
     @staticmethod
     def _close_agrees(cfg, rows: pa.Table, cells: pa.Table, n_slices: int, tmp_path):
         """The close, fed ``cells``, emits for each one-slice window the bytes
-        and n_rows of the partial a store builds from ``rows``, and carries
-        every row while no slice is closed.  Returns the emitted payloads."""
-        from condor_ray.engine.streaming import _merge_and_emit
-        from condor_ray.state.store import PartitionStateStore
+        and n_rows of the partial the object layout's partition task builds
+        from ``rows``, and carries every row while no slice is closed.
+        Returns the emitted payloads."""
+        from condor_ray.engine.streaming import _ingest_partition, _merge_and_emit
 
-        store = PartitionStateStore.__ray_actor_class__(0, cfg, W_US)
-        assert store.ingest(rows) == rows.num_rows
-        assert len(store.slices) == n_slices
+        sids = sorted(set((ts_to_us(rows["ts"]) // W_US).tolist()))
+        partials, kept = _ingest_partition._function(cfg, W_US, sids, -(2**62), rows)
+        assert partials.num_rows == n_slices and kept.equals(partials)
+        assert sum(partials["n_rows"].to_pylist()) == rows.num_rows
         spec = [{"kind": "k", "start": s * W_US, "size": W_US, "slices": [s]}
-                for s in sorted({sid for _, sid in store.slices})]
+                for s in sids]
         path = str(tmp_path / "emit.parquet")
         n, carry = _merge_and_emit._function(
             path, spec, cfg.synopsis, cfg.params, W_US, -(2**62), cells
@@ -544,7 +545,8 @@ class TestCombiner:
         assert {
             (r["stratum"] or "", r["window_start"] // W_US): (r["payload"], r["n_rows"])
             for r in got
-        } == {k: (syn.to_bytes(), store.slice_counts[k]) for k, syn in store.slices.items()}
+        } == {(r["stratum"], r["slice_id"]): (r["payload"], r["n_rows"])
+              for r in partials.to_pylist()}
         stratum = cfg.stratify_by
         assert _group_counts(carry, W_US, stratum) == _group_counts(cells, W_US, stratum)
         return [r["payload"] for r in got]
@@ -726,9 +728,10 @@ _HLL = dict(synopsis="HyperLogLogSketch", params=(10, 7))
 
 
 class TestCellLayout:
-    """The cell layout writes what the stores write (``combine = False``):
-    the same emit files and manifest fragment lines, sequential, pipelined,
-    and crashed after a fragment then resumed."""
+    """The cell layout writes what the object layout (``combine = False``,
+    per-partition partial tables) writes: the same emit files and manifest
+    fragment lines, sequential, pipelined, and crashed after a fragment
+    then resumed."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -753,11 +756,11 @@ class TestCellLayout:
         cfg = BuildConfiguration(**{"synopsis": "CountMinSketch", "params": (128, 3, 7),
                                     **cfg})
         outs = {}
-        for mode in ("stores", "seq", "pipe", "resume"):
+        for mode in ("objects", "seq", "pipe", "resume"):
             out = str(tmp_path / mode)
             ckpt = str(tmp_path / "ckpt") if mode == "resume" else None
             job = StreamingSynopsisJob(cfg, out, checkpoint_dir=ckpt, checkpoint_every=2)
-            job.combine = mode != "stores"
+            job.combine = mode != "objects"
             try:
                 if mode == "resume":  # a crash after fragment 3; ckpt-00002 survives
                     job.run(frags[:3], final_flush=False)
@@ -769,11 +772,11 @@ class TestCellLayout:
             finally:
                 job.shutdown()
             outs[mode] = _job_output(out)
-        emits, lines = outs["stores"]
+        emits, lines = outs["objects"]
         assert len(emits) > 2 and len(lines) == len(frags)
         for mode in ("seq", "pipe", "resume"):
-            assert outs[mode] == outs["stores"], mode
-        rows = pq.read_table([str(tmp_path / "stores" / f) for f in emits]).to_pylist()
+            assert outs[mode] == outs["objects"], mode
+        rows = pq.read_table([str(tmp_path / "objects" / f) for f in emits]).to_pylist()
         if cfg.stratify_by:  # null and empty strata both emitted
             assert {"<null>", "<empty>"} <= {r["stratum"] for r in rows}
         if cfg.synopsis == "HyperLogLogSketch":
@@ -784,17 +787,19 @@ class TestCellLayout:
     def test_state_stays_bounded(self, ray_session, tiny_fixture, tmp_path, monkeypatch):
         """A close replaces the tables it reads with one carry, and
         ``_FOLD_EVERY`` fragments without a close are folded: live state
-        is one carry plus the fragments since the last close."""
+        is one carry plus the fragments since the last close, in either
+        layout."""
         import condor_ray.engine.streaming as streaming
 
         frags = transcript_fragments(tiny_fixture)
         cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
                                  windows=[TumblingWindow(3_600_000)], parallelism=2)
         outs = {}
-        for drain in (32, 2):
+        for combine, drain in ((True, 32), (True, 2), (False, 32), (False, 2)):
             monkeypatch.setattr(streaming, "_FOLD_EVERY", drain)
-            out = str(tmp_path / str(drain))
+            out = str(tmp_path / f"{combine}-{drain}")
             job = StreamingSynopsisJob(cfg, out)
+            job.combine = combine
             try:
                 for k in range(1, len(frags) + 1):  # no window closes
                     job.run(frags[:k], final_flush=False, pipelined=False)
@@ -804,20 +809,21 @@ class TestCellLayout:
             finally:
                 job.shutdown()
             assert job.cells == []
-            outs[drain] = _job_output(out)
-        assert outs[2] == outs[32] and outs[2][0]
+            outs[combine, drain] = _job_output(out)
+        assert outs[True, 2][0]
+        assert outs[True, 2] == outs[True, 32] == outs[False, 2] == outs[False, 32]
 
 
     def test_summary_figures_stay_bounded(self, ray_session, tiny_fixture, tmp_path):
         """Each close replays the resolved ingests into the per-partition
         figures: after the close of fragment k, only the ingests of
         fragments > k (still in flight) wait, and no resolved meta is kept.
-        The figures equal the stores' ``stats``."""
+        Both layouts give the same figures."""
         frags = transcript_fragments(tiny_fixture)
         cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
                                  windows=[SlidingWindow(W_MS, W_MS // 2)], parallelism=2)
         summaries = {}
-        for mode in ("stores", "cells"):
+        for mode in ("objects", "cells"):
             job = StreamingSynopsisJob(cfg, str(tmp_path / mode))
             job.combine = mode == "cells"
             close, seen = job._close, []
@@ -834,10 +840,9 @@ class TestCellLayout:
                 summaries[mode] = job.run(frags, pipelined=True)["partitions"]
             finally:
                 job.shutdown()
-            if mode == "cells":
-                assert len(seen) == len(frags) + 1
-                assert all(groups == {} and not waiting for groups, waiting in seen)
-        for p, q in zip(summaries["cells"], summaries["stores"]):
+            assert len(seen) == len(frags) + 1
+            assert all(groups == {} and not waiting for groups, waiting in seen)
+        for p, q in zip(summaries["cells"], summaries["objects"]):
             for k in ("partition_id", "rows_ingested", "open_slices", "max_open_slices"):
                 assert p[k] == q[k], k
 
@@ -848,14 +853,36 @@ class TestCellLayout:
                  windows=[SlidingWindow(W_MS, W_MS // 2)]),
             dict(synopsis="CountMinSketch", params=(128, 3, 7),
                  windows=[SlidingWindow(W_MS, W_MS // 2)], stratify_by="tool"),
+            dict(synopsis="CuckooFilter", params=(4, 256, 7),
+                 windows=[SlidingWindow(W_MS, W_MS // 2)]),
+            dict(synopsis="FastAGMS", params=(64, 5, 7), windows=[TumblingWindow(W_MS)],
+                 stratify_by="role"),
+            dict(synopsis="DDSketch", params=(0.01, 256), key=KeySpec("text", "length"),
+                 windows=[SlidingWindow(W_MS, W_MS // 2)]),
+            dict(synopsis="EquiWidthHistogram", params=(0.0, 2000.0, 16),
+                 key=KeySpec("text", "length"), windows=[TumblingWindow(W_MS)]),
+            dict(synopsis="BarSplittingHistogram", params=(7, 8),
+                 key=KeySpec("text", "length"), windows=[SlidingWindow(W_MS, W_MS // 2)]),
+            dict(synopsis="SplitAndMergeWithDDSketch", params=(16, 0.01),
+                 key=KeySpec("text", "length"), windows=[TumblingWindow(W_MS)],
+                 stratify_by="tool"),
+            dict(synopsis="ReservoirSampler", params=(20, 7), sample_elements=True,
+                 windows=[SlidingWindow(W_MS, W_MS // 2)], stratify_by="role"),
+            dict(synopsis="FiFoSampler", params=(20,),
+                 windows=[SlidingWindow(W_MS, W_MS // 2)]),
+            dict(synopsis="BiasedReservoirSampler", params=(20, 7), sample_elements=True,
+                 windows=[SlidingWindow(W_MS, W_MS // 2)], hot_key_threshold=3),
         ],
-        ids=["bloom", "cm_stores"],
+        ids=["bloom", "cm_stores", "cuckoo", "fast_agms_strata", "ddsketch",
+             "equi_width", "bash", "split_merge_dd_strata", "reservoir_strata", "fifo",
+             "biased_reservoir_hot"],
     )
     def test_store_path_resumes(self, ray_session, strata_fixture, tmp_path, cfg):
-        """A store-path job (a synopsis that is not ``combinable``, or
-        ``combine = False``) resumed by ``job.resume()`` before its first
-        run restores its stores' slice state: crashed after fragment 3 and
-        resumed, it writes the files of an uninterrupted run."""
+        """An object-layout job (a synopsis that is not ``combinable``, or
+        ``combine = False``) writes the same emit files and manifest
+        fragment lines sequential, pipelined, and crashed after fragment 3
+        then resumed by ``job.resume()`` before its first run, which
+        restores its partial tables and waiting row shards."""
         frags = strata_fixture
         cfg = BuildConfiguration(parallelism=2, **cfg)
 
@@ -864,11 +891,14 @@ class TestCellLayout:
             job.combine = False
             return job
 
-        ref = job_for(str(tmp_path / "ref"))
-        try:
-            ref.run(frags)
-        finally:
-            ref.shutdown()
+        outs = {}
+        for mode in ("seq", "pipe"):
+            job = job_for(str(tmp_path / mode))
+            try:
+                job.run(frags, pipelined=mode == "pipe")
+            finally:
+                job.shutdown()
+            outs[mode] = _job_output(str(tmp_path / mode))
         out, ckpt = str(tmp_path / "resumed"), str(tmp_path / "ckpt")
         job = job_for(out, ckpt)
         try:
@@ -881,9 +911,30 @@ class TestCellLayout:
             job.run(frags)
         finally:
             job.shutdown()
-        emits, lines = _job_output(str(tmp_path / "ref"))
+        emits, lines = outs["seq"]
         assert len(emits) > 2 and len(lines) == len(frags)
-        assert _job_output(out) == (emits, lines)
+        assert outs["pipe"] == outs["seq"]
+        assert _job_output(out) == outs["seq"]
+
+    def test_object_layout_starts_no_actors(self, ray_session, tiny_fixture, tmp_path):
+        """Nine partitions in a 4-CPU session: the object layout runs as
+        tasks, with no actor to hold the CPUs, and writes the cell layout's
+        files."""
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(params=(128, 3, 7), windows=[SlidingWindow(W_MS, W_MS // 2)],
+                                 parallelism=9)
+        outs = {}
+        for combine in (False, True):
+            out = str(tmp_path / str(combine))
+            job = StreamingSynopsisJob(cfg, out)
+            job.combine = combine
+            try:
+                job.run(frags)
+                assert job.stores == []
+            finally:
+                job.shutdown()
+            outs[combine] = _job_output(out)
+        assert len(outs[False][0]) > 2 and outs[False] == outs[True]
 
 
 class TestFlushKeepsWatermark:

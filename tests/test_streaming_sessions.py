@@ -239,3 +239,16 @@ def test_null_conv_id_rows_survive(ray_session, tmp_path):
     assert len(result) == 2
     assert result["n_rows"].sum() == 4
     assert result["conv_id"].isna().sum() == 1
+
+
+def test_actors_that_starve_the_tasks_raise(ray_session, tiny_fixture, tmp_path):
+    """Eight 0.5-CPU state actors would hold all 4 CPUs of the session, so
+    no split task could start: the job raises at once and kills them, and a
+    job that fits runs after it."""
+    with pytest.raises(ValueError, match="lower the parallelism"):
+        StreamingSessionJob(_cfg(parallelism=8), str(tmp_path / "p8"))
+    job = StreamingSessionJob(_cfg(parallelism=2), str(tmp_path / "p2"))
+    try:
+        assert job.run(transcript_fragments(tiny_fixture))["rows"] > 0
+    finally:
+        job.shutdown()
