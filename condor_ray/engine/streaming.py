@@ -63,8 +63,9 @@ The parts:
   Slices are evicted once no remaining window needs them: a close also
   returns the state of the slices that stay open (the cell rows, merged as
   sorted runs by a stable sort, or the partials), which replaces the tables
-  it read, and ``_FOLD_EVERY`` fragments without a close are folded the
-  same way, so live state stays bounded.
+  it read, and ``_FOLD_EVERY`` fragments without a close (or all of them,
+  before a checkpoint) are folded the same way, so live state stays
+  bounded.
 
 This module also holds the conv-hash routing every streaming splitter shares
 (``conv_partition_ids``, ``split_by_conv``).
@@ -93,9 +94,9 @@ from .batch import (_common_slice_us, _element_keys, _window_kind,
 from .driver import NEG_INF as _NEG_INF, POS_INF, FragmentStreamJob
 from .emit import write_atomic
 
-# The cell layout folds the live tables of fragments that closed no window
-# into one carry once this many pile up, so between closes its live state is
-# at most one carry plus this many fragment tables.
+# A job folds the live tables of fragments that closed no window into one
+# carry once this many pile up, so between closes its live state is at most
+# one carry plus this many fragments' tables.
 _FOLD_EVERY = 32
 
 
@@ -603,12 +604,12 @@ def _ingest_partition(
     *tables: pa.Table,
 ) -> tuple[pa.Table, pa.Table]:
     """The object layout's state of one partition, one task per close: take
-    the partials a partial table carries, then ingest the row shards one
-    fragment at a time, in order, into one synopsis per (stratum, slice).
-    Returns the partials of the slices in ``wanted`` (the close's snapshot),
-    ordered by (slice, stratum), and the carry of every slice that ends
-    after ``horizon``, as partial tables.  A carried partial is deserialized
-    only when rows reach it; otherwise its bytes pass through unchanged."""
+    the partials a partial table carries (a carry is the table with a
+    ``payload`` column; the others are row shards), then ingest the row
+    shards one fragment at a time, in order, into one synopsis per
+    (stratum, slice).  Returns the partials of the slices in ``wanted`` (the
+    close's snapshot), ordered by (slice, stratum), and the carry of every
+    slice that ends after ``horizon``, as partial tables."""
     proto = make_synopsis(config.synopsis, config.params)
     slices: dict[tuple[str, int], list] = {}  # (stratum, slice) -> [partial, rows]
 
@@ -619,18 +620,16 @@ def _ingest_partition(
             if stratum:
                 syn.set_partition_value(stratum)
             entry = slices[(stratum, sid)] = [syn, 0]
-        elif isinstance(entry[0], bytes):
-            entry[0] = Synopsis.from_bytes(entry[0])
         entry[1] += n
         return entry[0]
 
     for t in tables:
-        if "payload" in t.column_names:  # a carry
+        if "payload" in t.column_names:
             for sid, stratum, payload, n in zip(
                 t["slice_id"].to_pylist(), t["stratum"].to_pylist(),
                 t["payload"].to_pylist(), t["n_rows"].to_pylist(),
             ):
-                slices[(stratum, sid)] = [payload, n]
+                slices[(stratum, sid)] = [Synopsis.from_bytes(payload), n]
         elif t.num_rows:
             values = (_element_keys(t) if config.sample_elements
                       else t["__key32"].to_numpy())
@@ -638,8 +637,7 @@ def _ingest_partition(
     keys, wanted = sorted(slices, key=lambda k: (k[1], k[0])), set(wanted)
     snapshot = [k for k in keys if k[1] in wanted]
     carry = [k for k in keys if (k[1] + 1) * slice_us > horizon]
-    payload = {k: p if isinstance(p := slices[k][0], bytes) else p.to_bytes()
-               for k in {*snapshot, *carry}}
+    payload = {k: slices[k][0].to_bytes() for k in {*snapshot, *carry}}
     return tuple(
         partials_table([(k[1], k[0], payload[k], slices[k][1]) for k in ks])
         for ks in (snapshot, carry)
@@ -820,7 +818,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
         # row shards a fragment, where a close's carry (one cell table or P
         # partial tables) stands at the fragment it closed; and the run
         # summary's per-partition figures, replayed from ``_events``
-        self.cells: list[tuple[int, list]] = []
+        self.state: list[tuple[int, list]] = []
         self._events: list[tuple[str, int]] = []
         self._groups: dict[int, list] = {}
         self._rows = [0] * self.parallelism
@@ -842,7 +840,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
         reads only the state of fragments up to its own, and slice ingest
         commutes across fragments."""
         # a run that raised may have left state of fragments it did not take in
-        self.cells = [(i, r) for i, r in self.cells if i < self.next_fragment]
+        self.state = [(i, r) for i, r in self.state if i < self.next_fragment]
         self._events = [e for e in self._events
                         if e[0] == "evict" or e[1] < self.next_fragment]
         pipelined = self.checkpoint_dir is None and pipelined is not False
@@ -867,7 +865,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
         )
 
     def _ingest(self, k: int, shards: list, wm: int) -> list:
-        self.cells.append((k, shards))
+        self.state.append((k, shards))
         self._events.append(("add", k))
         return []
 
@@ -896,17 +894,17 @@ class StreamingSynopsisJob(FragmentStreamJob):
             self.closed_through[wi] = wid
         return emit_spec
 
-    def _close(self, wm: int, idx: int):
+    def _close(self, wm: int, idx: int, fold: bool = False):
         """Emit the windows ``_emit_spec(wm)`` lists from the live tables of
         fragments <= ``idx``, and replace those tables by the close's carry:
         one close task over the cell tables, or one ``_ingest_partition``
         task per partition whose snapshots a merge task folds (the driver
         never touches synopsis payloads).  Without windows to emit, this
-        only folds, once ``_FOLD_EVERY`` fragments wait."""
+        only folds, once ``_FOLD_EVERY`` fragments wait (or if ``fold``)."""
         emit_spec = self._emit_spec(wm)
         horizon = _evict_horizon(wm, self.windows, self.slice_us)
-        live = [r for i, r in self.cells if i <= idx]
-        if not emit_spec and len(live) <= _FOLD_EVERY:
+        live = [r for i, r in self.state if i <= idx]
+        if not (emit_spec or fold or len(live) > _FOLD_EVERY):
             return None
         path, synopsis = self.emit_path(idx), self.config.synopsis
         if self.combine:
@@ -924,7 +922,7 @@ class StreamingSynopsisJob(FragmentStreamJob):
             ))
             n = None if not emit_spec else _merge_partials_and_emit.remote(
                 path, emit_spec, synopsis, *snapshots)
-        self.cells = [(idx, list(carry))] + [(i, r) for i, r in self.cells if i > idx]
+        self.state = [(idx, list(carry))] + [(i, r) for i, r in self.state if i > idx]
         self._events.append(("evict", horizon))
         self._account()
         return n if emit_spec else None
@@ -970,35 +968,41 @@ class StreamingSynopsisJob(FragmentStreamJob):
 
     # -- checkpoint/resume: the live tables and the summary figures -----------
     def _save_state(self, tmp: str) -> None:
+        if len(self.state) > 1 and self.watermark > _NEG_INF:
+            # fold the fragments that closed no window: a checkpoint holds
+            # one carry, not their row shards or cell tables
+            self._close(self.watermark, self.next_fragment - 1, fold=True)
         self._account()
-        tables = ray.get([r for _, refs in self.cells for r in refs])
-        names = [f"cells-{i:04d}-{p:04d}.arrow"
-                 for i, (_, refs) in enumerate(self.cells) for p in range(len(refs))]
+        tables = ray.get([r for _, refs in self.state for r in refs])
+        names = [f"state-{i:04d}-{p:04d}.arrow"
+                 for i, (_, refs) in enumerate(self.state) for p in range(len(refs))]
         for name, table in zip(names, tables):
             with pa.OSFile(os.path.join(tmp, name), "wb") as f:
                 with pa.ipc.new_file(f, table.schema) as w:
                     w.write_table(table)
         with open(os.path.join(tmp, "partitions.json"), "w") as f:
-            json.dump({"rows": self._rows, "live": [sorted(s) for s in self._live]}, f)
+            json.dump({"rows": self._rows, "live": [sorted(s) for s in self._live],
+                       "max_live": self._max_live}, f)
 
     def _load_state(self, path: str) -> None:
-        # cells-{entry}-{table}.arrow; a cell-layout checkpoint written
+        # state-{entry}-{table}.arrow; a cell-layout checkpoint written
         # before the object layout took tables holds cells-{entry}.arrow
         entries: dict[str, list] = {}
-        for name in sorted(n for n in os.listdir(path) if n.startswith("cells-")):
+        for name in sorted(n for n in os.listdir(path)
+                           if n.startswith(("state-", "cells-"))):
             with pa.OSFile(os.path.join(path, name)) as f:
                 table = pa.ipc.open_file(f).read_all()
             entries.setdefault(name.split("-")[1], []).append(ray.put(table))
-        self.cells = [(-1, refs) for _, refs in sorted(entries.items())]
+        self.state = [(-1, refs) for _, refs in sorted(entries.items())]
         with open(os.path.join(path, "partitions.json")) as f:
             parts = json.load(f)
         self._rows = parts["rows"]
         self._live = [set(map(tuple, s)) for s in parts["live"]]
-        self._max_live = [0] * self.parallelism  # restarts at a resume
+        self._max_live = parts.get("max_live", [0] * self.parallelism)
         self._events, self._groups = [], {}
 
     def shutdown(self) -> None:
-        self.cells = []  # release the live tables
+        self.state = []  # release the live tables
         super().shutdown()
 
 

@@ -803,16 +803,58 @@ class TestCellLayout:
             try:
                 for k in range(1, len(frags) + 1):  # no window closes
                     job.run(frags[:k], final_flush=False, pipelined=False)
-                    assert len(job.cells) == (k if drain > k else 1 + (k - 1) % drain)
+                    assert len(job.state) == (k if drain > k else 1 + (k - 1) % drain)
                 job.run(frags)
-                assert len(job.cells) == 1
+                assert len(job.state) == 1
             finally:
                 job.shutdown()
-            assert job.cells == []
+            assert job.state == []
             outs[combine, drain] = _job_output(out)
         assert outs[True, 2][0]
         assert outs[True, 2] == outs[True, 32] == outs[False, 2] == outs[False, 32]
 
+
+    def test_checkpoint_folds_waiting_fragments(self, ray_session, tiny_fixture, tmp_path):
+        """A checkpoint taken while no window has closed folds the waiting
+        fragments into one carry (one cell table, or one partial table a
+        partition); a resumed job reports the summary figures of the
+        checkpointed one and writes the uninterrupted run's output."""
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
+                                 windows=[TumblingWindow(3_600_000)], parallelism=2)
+
+        def job_for(out, ckpt=None, combine=True):
+            job = StreamingSynopsisJob(cfg, str(tmp_path / out), checkpoint_dir=ckpt,
+                                       checkpoint_every=2)
+            job.combine = combine
+            return job
+
+        for combine in (True, False):
+            ckpt = str(tmp_path / f"ckpt-{combine}")
+            for name, ckpt_dir, n in (("whole", None, len(frags)), ("crashed", ckpt, 2)):
+                job = job_for(f"{name}-{combine}", ckpt_dir, combine)
+                try:
+                    figures = job.run(frags[:n], final_flush=n == len(frags))["partitions"]
+                finally:
+                    job.shutdown()
+            files = os.listdir(os.path.join(ckpt, "ckpt-00002"))
+            tables = sorted(f for f in files if f.startswith("state-"))
+            assert tables == [f"state-0000-{p:04d}.arrow" for p in range(1 if combine else 2)]
+            job = job_for(f"crashed-{combine}", ckpt, combine)
+            try:
+                assert job.resume() and job.next_fragment == 2
+                assert job._summary([])["partitions"] == figures
+                job.run(frags)
+            finally:
+                job.shutdown()
+            whole = _job_output(str(tmp_path / f"whole-{combine}"))
+            assert whole[0] and _job_output(str(tmp_path / f"crashed-{combine}")) == whole
+
+    SUMMARY_CFG = BuildConfiguration(
+        synopsis="CountMinSketch", params=(128, 3, 7),
+        windows=[SlidingWindow(W_MS, W_MS // 2)], parallelism=2, stratify_by="role",
+    )
+    FIGURES = ("partition_id", "rows_ingested", "open_slices", "max_open_slices")
 
     def test_summary_figures_stay_bounded(self, ray_session, tiny_fixture, tmp_path):
         """Each close replays the resolved ingests into the per-partition
@@ -820,11 +862,9 @@ class TestCellLayout:
         fragments > k (still in flight) wait, and no resolved meta is kept.
         Both layouts give the same figures."""
         frags = transcript_fragments(tiny_fixture)
-        cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
-                                 windows=[SlidingWindow(W_MS, W_MS // 2)], parallelism=2)
         summaries = {}
         for mode in ("objects", "cells"):
-            job = StreamingSynopsisJob(cfg, str(tmp_path / mode))
+            job = StreamingSynopsisJob(self.SUMMARY_CFG, str(tmp_path / mode))
             job.combine = mode == "cells"
             close, seen = job._close, []
 
@@ -843,8 +883,59 @@ class TestCellLayout:
             assert len(seen) == len(frags) + 1
             assert all(groups == {} and not waiting for groups, waiting in seen)
         for p, q in zip(summaries["cells"], summaries["objects"]):
-            for k in ("partition_id", "rows_ingested", "open_slices", "max_open_slices"):
-                assert p[k] == q[k], k
+            assert [p[k] for k in self.FIGURES] == [q[k] for k in self.FIGURES]
+
+    def test_summary_figures_count_state(self, ray_session, tiny_fixture, tmp_path,
+                                         monkeypatch):
+        """The per-partition figures count the state the object layout holds.
+        With every close folding (``_FOLD_EVERY`` 0), after fragment k a
+        partition's open slices are the (slice, stratum) rows of its carry,
+        its high-water mark is the largest union of the previous carry and
+        one fragment's shard (what its task holds at once), and its rows are
+        its shards' rows.  The cell layout reports the same figures."""
+        import ray
+        import condor_ray.engine.streaming as streaming
+        from condor_ray.stages.extract import stratum_codes
+
+        monkeypatch.setattr(streaming, "_FOLD_EVERY", 0)
+        frags = transcript_fragments(tiny_fixture)
+        cfg = self.SUMMARY_CFG
+        jobs = {}
+        for mode in ("objects", "cells"):
+            jobs[mode] = StreamingSynopsisJob(cfg, str(tmp_path / mode))
+            jobs[mode].combine = mode == "cells"
+        job, shards = jobs["objects"], []
+        ingest = job._ingest
+        job._ingest = lambda k, refs, wm: (shards.append(refs), ingest(k, refs, wm))[1]
+
+        def pairs(table: pa.Table) -> set:
+            if "payload" in table.column_names:  # a carry
+                return set(zip(table["slice_id"].to_pylist(), table["stratum"].to_pylist()))
+            codes, labels = stratum_codes(table[cfg.stratify_by])
+            sids = (ts_to_us(table["ts"]) // job.slice_us).tolist()
+            return {(s, labels[c]) for s, c in zip(sids, codes.tolist())}
+
+        rows, high = [0, 0], [0, 0]
+        carry: list[set] = [set(), set()]
+        try:
+            for k in range(1, len(frags) + 1):
+                summary = {mode: j.run(frags[:k], final_flush=False, pipelined=False)
+                           ["partitions"] for mode, j in jobs.items()}
+                (idx, tables), = job.state
+                assert idx == k - 1 and len(shards) == k
+                for p, (shard, table) in enumerate(zip(ray.get(shards[-1]),
+                                                       ray.get(tables))):
+                    rows[p] += shard.num_rows
+                    high[p] = max(high[p], len(carry[p] | pairs(shard)))
+                    carry[p] = pairs(table)
+                    assert table.num_rows == len(carry[p])
+                    want = [p, rows[p], len(carry[p]), high[p]]
+                    for mode in jobs:
+                        assert [summary[mode][p][f] for f in self.FIGURES] == want, mode
+            assert min(rows) > 0 and max(high) > max(map(len, carry)) > 0
+        finally:
+            for j in jobs.values():
+                j.shutdown()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -882,7 +973,8 @@ class TestCellLayout:
         ``combine = False``) writes the same emit files and manifest
         fragment lines sequential, pipelined, and crashed after fragment 3
         then resumed by ``job.resume()`` before its first run, which
-        restores its partial tables and waiting row shards."""
+        restores its partial tables; the resumed run's summary figures are
+        the sequential run's."""
         frags = strata_fixture
         cfg = BuildConfiguration(parallelism=2, **cfg)
 
@@ -891,11 +983,11 @@ class TestCellLayout:
             job.combine = False
             return job
 
-        outs = {}
+        outs, figures = {}, {}
         for mode in ("seq", "pipe"):
             job = job_for(str(tmp_path / mode))
             try:
-                job.run(frags, pipelined=mode == "pipe")
+                figures[mode] = job.run(frags, pipelined=mode == "pipe")["partitions"]
             finally:
                 job.shutdown()
             outs[mode] = _job_output(str(tmp_path / mode))
@@ -908,7 +1000,7 @@ class TestCellLayout:
         job = job_for(out, ckpt)
         try:
             assert job.resume() and job.next_fragment == 2
-            job.run(frags)
+            assert job.run(frags)["partitions"] == figures["seq"]
         finally:
             job.shutdown()
         emits, lines = outs["seq"]
