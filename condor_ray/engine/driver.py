@@ -8,7 +8,8 @@ and supplies only its own parts:
 - ``_split(k, path, wm)`` submits fragment k's split task and returns
   ``[meta_ref, *shard_refs]``, one shard per state actor.  ``meta`` holds
   ``n_rows``, ``frag_max_ts``, optionally ``frag_min_ts``, and ``n_late``
-  when the split applies the late rule (``late_at_ingest = False``).
+  when the split applies the late rule (``late_at_ingest = False``).  It
+  may call ``ts_stats(k)``, fragment k's footer (min, max) ts.
 - ``_ingest(k, shards, wm)`` submits the actors' ingest calls (an engine
   that keeps its state as object refs keeps the shards instead), and
   ``_resolved(k, meta)`` sees each meta once it resolves.
@@ -37,6 +38,13 @@ The driver owns the rest:
   watermark comes from the footer statistics (``fragment_ts_stats``, read
   in-process), which give the same maxima.  A checkpointed run must not run
   ahead: a snapshot would hold later fragments.
+- **Footers**: a run reads each fragment's footer at most once
+  (``ts_stats``), for the carry-ins of its lookahead splits (never the last
+  fragment's) and for an engine's ``_split``.  The synopsis job splits and
+  closes fragment k in one task when k is the next fragment to take in
+  (a run's first, and every fragment of a sequential run), at the
+  watermark after k that k's footer gives; it checks that watermark
+  against k's meta.
 - **Sink**: close cycles are async tasks that write ``emit_path(k)``
   (``{prefix}-f{k:05d}.parquet``) atomically, so a replayed fragment rewrites
   byte-identical files.  Emits drain every 32 and before each checkpoint;
@@ -125,20 +133,28 @@ def fragment_ts_stats(path: str) -> tuple[int, int]:
 _ts_stats_task = ray.remote(fragment_ts_stats)
 
 
-def _footer_watermarks(paths: list[str], base: int, wm0: int):
-    """``carry_in(i)``: max(wm0, max ts of paths[base:i]) from footer statistics.
-    Each footer is read in-process, the first time a carry-in needs it (a
-    read costs far less than a task round trip), so the first split waits on
-    one footer read, never on a whole-stream metadata prescan.  No carry-in
-    reads the last fragment's footer, so it is never read."""
+def _footer_reader(paths: list[str], base: int, wm0: int):
+    """``(ts_stats, carry_in)`` over one run's fragments.  ``ts_stats(i)`` is
+    ``fragment_ts_stats(paths[i])``, each footer read in-process (a read
+    costs far less than a task round trip) at most once a run, the first
+    time anything asks for it.  ``carry_in(i)`` is max(wm0, max ts of
+    paths[base:i]), so the first split waits on one footer read, never on a
+    whole-stream metadata prescan, and no carry-in needs the last
+    fragment's footer."""
+    read: dict[int, tuple[int, int]] = {}
     wms = [wm0]
+
+    def ts_stats(i: int) -> tuple[int, int]:
+        if i not in read:
+            read[i] = fragment_ts_stats(paths[i])
+        return read[i]
 
     def carry_in(i: int) -> int:
         while len(wms) <= i - base:
-            wms.append(max(wms[-1], fragment_ts_stats(paths[base + len(wms) - 1])[1]))
+            wms.append(max(wms[-1], ts_stats(base + len(wms) - 1)[1]))
         return wms[i - base]
 
-    return carry_in
+    return ts_stats, carry_in
 
 
 def interleave(*streams: list[str]) -> tuple[list[str], list[int]]:
@@ -223,9 +239,9 @@ class FragmentStreamJob:
         if resume:
             self.resume()
         base, n = self.next_fragment, len(paths)
-        carry_in = None
-        if lookahead > 1 and not self.late_at_ingest:
-            carry_in = _footer_watermarks(paths, base, self.watermark)
+        self.ts_stats, carry_in = _footer_reader(paths, base, self.watermark)
+        if lookahead == 1 or self.late_at_ingest:
+            carry_in = None
         manifest = os.path.join(self.out_dir, "manifest.jsonl")
         inflight: dict[int, list] = {}
         emits: list = []  # (close idx, count ref or None)

@@ -55,7 +55,14 @@ The parts:
   slices, it hashes each distinct key once, reduces the cells per
   (stratum, slice) once (Count-Min into a scratch once the cells reach 1/8
   of the sketches, else by a sort), folds each window from its slices and
-  builds only the synopses it emits.  Either way
+  builds only the synopses it emits.  When every fragment before k has
+  been taken in (``k == next_fragment``: a run's first fragment, and every
+  fragment of a sequential run), that same task splits fragment k first,
+  so k's cell table never enters the object store and k costs one task:
+  the driver computes the watermark after k, the windows to emit and the
+  evict horizon from k's footer statistics, and raises RuntimeError if
+  k's rows give other min/max ts.  A pipelined run's lookahead splits
+  stay separate tasks, which run in parallel.  Either way
   the task writes ``emit-f{k:05d}.parquet``, with the same bytes: a
   Count-Min window is sparse iff nnz*3 < width*height, and a HyperLogLog
   window caches its estimate iff it folds two or more (partition, slice)
@@ -489,28 +496,39 @@ def _slice_cells(c: dict, proto: Synopsis, group: np.ndarray):
     return packed // n_cells, packed % n_cells, value
 
 
-@ray.remote(num_returns=2)
+@ray.remote(num_returns=3)
 def _merge_and_emit(
     emit_path: str, emit_spec: list[dict], synopsis_type: str, params: tuple,
-    slice_us: int, horizon: int, *cells: pa.Table,
-) -> tuple[int, pa.Table]:
+    slice_us: int, horizon: int, *cells: pa.Table, split: tuple | None = None,
+) -> tuple[dict | None, int, pa.Table]:
     """The cell layout's close: fold each window of ``emit_spec`` from the
     cell tables, write the emission file atomically, and keep the rows of
-    the slices that end after ``horizon``.  Returns (emitted (window,
-    stratum) rows, carry table).  An empty ``emit_spec`` only folds."""
+    the slices that end after ``horizon``.  An empty ``emit_spec`` only
+    folds.  ``split`` (the arguments of a ``_partition_fragment`` call with
+    ``combine``) first splits a fragment in this task and reads its cell
+    table after ``cells``, so that table never enters the object store;
+    with no ``emit_spec`` and no ``cells`` the carry is that table as it
+    is.  Returns (the split's meta or None, emitted (window, stratum) rows,
+    carry table)."""
+    meta = None
+    if split is not None:
+        meta, own = _partition_fragment(*split)
+        if not (emit_spec or cells):
+            return meta, 0, own
+        cells = (*cells, own)
     c = _decode_cells(cells)
     if c is None:
-        return 0, _count_table(np.empty(0, np.int64), {}, np.empty(0, np.int64),
-                               np.empty(0, np.int32), np.empty(0, np.int64))
+        return meta, 0, _count_table(np.empty(0, np.int64), {}, np.empty(0, np.int64),
+                                     np.empty(0, np.int32), np.empty(0, np.int64))
     carry = _carry(c, slice_us, horizon)
     if not emit_spec:
-        return 0, carry
+        return meta, 0, carry
     # only the rows of the closing windows' slices are hashed and folded
     first = np.searchsorted(c["slices"], [s["slices"][0] for s in emit_spec])
     last = np.searchsorted(c["slices"], [s["slices"][-1] for s in emit_spec], "right")
     rows = (c["rank"] >= first.min()) & (c["rank"] < last.max())
     if not rows.any():
-        return 0, carry
+        return meta, 0, carry
     c.update({k: c[k][rows] for k in ("rank", "lab", "part", "key", "count")})
     proto = make_synopsis(synopsis_type, params)
     hll = isinstance(proto, HyperLogLogSketch)
@@ -565,7 +583,7 @@ def _merge_and_emit(
             payloads.append(syn.to_bytes())
             counts.append(n)
     _write_emit(emit_path, synopsis_type, kinds, starts, ends, strs, payloads, counts)
-    return len(kinds), carry
+    return meta, len(kinds), carry
 
 
 def _summed(idx: np.ndarray, val: np.ndarray, n_cells: int):
@@ -824,6 +842,11 @@ class StreamingSynopsisJob(FragmentStreamJob):
         self._rows = [0] * self.parallelism
         self._live: list[set] = [set() for _ in range(self.parallelism)]
         self._max_live = [0] * self.parallelism
+        # a fused split-and-close (``_split``): the footer (min, max) ts each
+        # fused fragment's close used, and the closes waiting for their
+        # fragment's meta, ``(count ref, closed_through, horizon, carry ref)``
+        self._footer_ts: dict[int, tuple[int, int]] = {}
+        self._pending: dict[int, tuple] = {}
         super().__init__(out_dir, [], checkpoint_dir, checkpoint_every)
 
     def run(
@@ -843,26 +866,39 @@ class StreamingSynopsisJob(FragmentStreamJob):
         self.state = [(i, r) for i, r in self.state if i < self.next_fragment]
         self._events = [e for e in self._events
                         if e[0] == "evict" or e[1] < self.next_fragment]
+        self._footer_ts, self._pending = {}, {}
         pipelined = self.checkpoint_dir is None and pipelined is not False
         lookahead = 1 + max(4, 2 * cluster_cpus()) if pipelined else 1
         return self._run(fragment_paths, resume, final_flush, lookahead)
 
     def _split(self, k: int, path: str, wm: int) -> list:
-        return _partition_task.options(
-            num_returns=2 if self.combine else 1 + self.parallelism
-        ).remote(
-            path,
-            self.parallelism,
-            self.slice_us,
-            wm,
-            self.config.hot_key_threshold,
-            self.columns,
-            None if self.config.sample_elements else self.config.key,
-            self.shard_columns,
-            self.combine,
-            self.by_part,
-            self.config.stratify_by,
+        """Fragment k's split task.  In the cell layout, when every earlier
+        fragment has been taken in, one task splits fragment k and runs its
+        close (``_merge_and_emit`` with ``split``): the driver takes the
+        watermark after k from k's footer, and ``_resolved`` checks it
+        against k's rows."""
+        args = (path, self.parallelism, self.slice_us, wm,
+                self.config.hot_key_threshold, self.columns,
+                None if self.config.sample_elements else self.config.key,
+                self.shard_columns, self.combine, self.by_part, self.config.stratify_by)
+        if not (self.combine and k == self.next_fragment):
+            return _partition_task.options(
+                num_returns=2 if self.combine else 1 + self.parallelism
+            ).remote(*args)
+        lo, hi = self._footer_ts[k] = self.ts_stats(k)
+        wm = max(wm, hi)
+        emit_spec, through = self._emit_spec(wm, min(self.min_ts, lo))
+        horizon = _evict_horizon(wm, self.windows, self.slice_us)
+        # the close ``_close(wm, k)`` would submit: windows, or a fold
+        close = bool(emit_spec) or (wm > _NEG_INF and len(self.state) >= _FOLD_EVERY)
+        meta, n, carry = _merge_and_emit.remote(
+            self.emit_path(k), emit_spec, self.config.synopsis, self.config.params,
+            self.slice_us, horizon, *([r[0] for _, r in self.state] if close else []),
+            split=args,
         )
+        if close:
+            self._pending[k] = (n if emit_spec else None, through, horizon, carry)
+        return [meta, carry]
 
     def _ingest(self, k: int, shards: list, wm: int) -> list:
         self.state.append((k, shards))
@@ -870,19 +906,28 @@ class StreamingSynopsisJob(FragmentStreamJob):
         return []
 
     def _resolved(self, k: int, meta: dict) -> None:
+        footer = self._footer_ts.pop(k, None)
+        if footer not in (None, (meta["frag_min_ts"], meta["frag_max_ts"])):
+            raise RuntimeError(
+                f"fragment {k}: its footer gives ts (min, max) {footer} but its "
+                f"rows {(meta['frag_min_ts'], meta['frag_max_ts'])}; its close "
+                "ran at the footer's watermark"
+            )
         self._groups[k] = (meta["groups"], meta["part_rows"])
 
-    def _emit_spec(self, wm: int) -> list[dict]:
+    def _emit_spec(self, wm: int, min_ts: int) -> tuple[list[dict], list[int]]:
         """Every window whose end <= ``wm`` and not yet emitted, grouped by
-        window definition with ascending starts."""
+        window definition with ascending starts, and ``closed_through``
+        after them.  ``min_ts`` places the first close."""
         emit_spec: list[dict] = []
+        through = list(self.closed_through)
         for wi, w in enumerate(self.windows):
             stride = w.size_us if isinstance(w, TumblingWindow) else w.slide_us
-            if self.closed_through[wi] != _NEG_INF:
-                wid = self.closed_through[wi]
-            elif self.min_ts < POS_INF:
+            if through[wi] != _NEG_INF:
+                wid = through[wi]
+            elif min_ts < POS_INF:
                 # first close: start at the earliest window containing data
-                wid = max(0, (self.min_ts - w.size_us) // stride + 1)
+                wid = max(0, (min_ts - w.size_us) // stride + 1)
             else:
                 continue
             while wid * stride + w.size_us <= wm:
@@ -891,8 +936,8 @@ class StreamingSynopsisJob(FragmentStreamJob):
                     "slices": list(slices_of_window(wid, _as_sliding(w), self.slice_us)),
                 })
                 wid += 1
-            self.closed_through[wi] = wid
-        return emit_spec
+            through[wi] = wid
+        return emit_spec, through
 
     def _close(self, wm: int, idx: int, fold: bool = False):
         """Emit the windows ``_emit_spec(wm)`` lists from the live tables of
@@ -900,32 +945,38 @@ class StreamingSynopsisJob(FragmentStreamJob):
         one close task over the cell tables, or one ``_ingest_partition``
         task per partition whose snapshots a merge task folds (the driver
         never touches synopsis payloads).  Without windows to emit, this
-        only folds, once ``_FOLD_EVERY`` fragments wait (or if ``fold``)."""
-        emit_spec = self._emit_spec(wm)
-        horizon = _evict_horizon(wm, self.windows, self.slice_us)
-        live = [r for i, r in self.state if i <= idx]
-        if not (emit_spec or fold or len(live) > _FOLD_EVERY):
-            return None
-        path, synopsis = self.emit_path(idx), self.config.synopsis
-        if self.combine:
-            n, carry = _merge_and_emit.remote(
-                path, emit_spec, synopsis, self.config.params, self.slice_us, horizon,
-                *(r[0] for r in live),
-            )
+        only folds, once ``_FOLD_EVERY`` fragments wait (or if ``fold``).
+        When ``_split`` fused fragment ``idx`` with its close, that task has
+        run this close already: its count and carry take the same place."""
+        if idx in self._pending:
+            n, self.closed_through, horizon, carry = self._pending.pop(idx)
             carry = [carry]
         else:
-            wanted = sorted({s for spec in emit_spec for s in spec["slices"]})
-            snapshots, carry = zip(*(
-                _ingest_partition.remote(self.config, self.slice_us, wanted, horizon,
-                                         *(r[p] for r in live))
-                for p in range(self.parallelism)
-            ))
-            n = None if not emit_spec else _merge_partials_and_emit.remote(
-                path, emit_spec, synopsis, *snapshots)
+            emit_spec, self.closed_through = self._emit_spec(wm, self.min_ts)
+            horizon = _evict_horizon(wm, self.windows, self.slice_us)
+            live = [r for i, r in self.state if i <= idx]
+            if not (emit_spec or fold or len(live) > _FOLD_EVERY):
+                return None
+            path, synopsis = self.emit_path(idx), self.config.synopsis
+            if self.combine:
+                _, n, carry = _merge_and_emit.remote(
+                    path, emit_spec, synopsis, self.config.params, self.slice_us,
+                    horizon, *(r[0] for r in live),
+                )
+                n, carry = n if emit_spec else None, [carry]
+            else:
+                wanted = sorted({s for spec in emit_spec for s in spec["slices"]})
+                snapshots, carry = zip(*(
+                    _ingest_partition.remote(self.config, self.slice_us, wanted,
+                                             horizon, *(r[p] for r in live))
+                    for p in range(self.parallelism)
+                ))
+                n = None if not emit_spec else _merge_partials_and_emit.remote(
+                    path, emit_spec, synopsis, *snapshots)
         self.state = [(idx, list(carry))] + [(i, r) for i, r in self.state if i > idx]
         self._events.append(("evict", horizon))
         self._account()
-        return n if emit_spec else None
+        return n
 
     def _flush_wm(self) -> int:
         # just past the last window containing data (a literal +inf would

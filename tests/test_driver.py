@@ -342,12 +342,15 @@ def test_result_dataset_reads_only_its_emits(ray_session, tiny_fixture, tmp_path
 
 
 @pytest.mark.parametrize("n_frags", [1, 4])
-def test_no_footer_read_for_the_last_fragment(
+def test_each_footer_read_at_most_once(
     ray_session, tiny_fixture, tmp_path, monkeypatch, n_frags
 ):
-    """A pipelined run reads the footers of its fragments but the last (no
-    carry-in watermark needs it), and writes the manifest fragment lines of
-    a sequential run."""
+    """A run reads each fragment's footer at most once: a pipelined run for
+    the carry-in watermarks of its lookahead splits (never the last
+    fragment's), and for the fragment it splits and closes in one task (its
+    first), which shares its read with the carry-ins; a sequential run only
+    for the fused fragments, i.e. every fragment.  Both write the same
+    manifest fragment lines."""
     from condor_ray.engine import driver
     from condor_ray.engine.streaming import StreamingSynopsisJob
 
@@ -364,15 +367,20 @@ def test_no_footer_read_for_the_last_fragment(
         synopsis="CountMinSketch", params=(128, 3, 7), windows=[TumblingWindow(W_MS)],
         parallelism=2,
     )
-    lines = {}
+    lines, reads = {}, {}
     for pipelined in (False, True):
         out = str(tmp_path / str(pipelined))
         job = StreamingSynopsisJob(cfg, out)
+        read.clear()
         try:
             job.run(frags, pipelined=pipelined)
         finally:
             job.shutdown()
+        reads[pipelined] = list(read)
         with open(os.path.join(out, "manifest.jsonl")) as f:
             lines[pipelined] = [line for line in f if '"fragment"' in line]
-    assert read == frags[:-1]
+    for r in reads.values():
+        assert len(r) == len(set(r))  # at most once
+    assert set(reads[True]) == set(frags[:-1]) | {frags[0]}  # carry-ins, fused
+    assert set(reads[False]) == set(frags)  # all fused
     assert len(lines[True]) == n_frags and lines[True] == lines[False]

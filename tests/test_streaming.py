@@ -537,9 +537,10 @@ class TestCombiner:
         spec = [{"kind": "k", "start": s * W_US, "size": W_US, "slices": [s]}
                 for s in sids]
         path = str(tmp_path / "emit.parquet")
-        n, carry = _merge_and_emit._function(
+        meta, n, carry = _merge_and_emit._function(
             path, spec, cfg.synopsis, cfg.params, W_US, -(2**62), cells
         )
+        assert meta is None
         got = pq.read_table(path).to_pylist()
         assert n == n_slices == len(got)
         assert {
@@ -1027,6 +1028,163 @@ class TestCellLayout:
                 job.shutdown()
             outs[combine] = _job_output(out)
         assert len(outs[False][0]) > 2 and outs[False] == outs[True]
+
+
+class _Counted:
+    """A remote function handle that logs each submission: its name, plus
+    ``+split`` for a close that splits its fragment itself."""
+
+    def __init__(self, fn, name: str, log: list):
+        self.fn, self.name, self.log = fn, name, log
+
+    def options(self, **kw):
+        return _Counted(self.fn.options(**kw), self.name, self.log)
+
+    def remote(self, *args, **kw):
+        self.log.append(self.name + ("+split" if kw.get("split") else ""))
+        return self.fn.remote(*args, **kw)
+
+
+class TestFusedClose:
+    """When every earlier fragment has been taken in, the cell layout splits
+    fragment k and runs its close in one task, at the watermark k's footer
+    gives; lookahead splits of a pipelined run stay separate tasks.  Either
+    way the job writes the object layout's files."""
+
+    CONFIGS = [
+        dict(windows=[TumblingWindow(5_000)]),
+        dict(synopsis="HyperLogLogSketch", params=(16, 7),
+             windows=[SlidingWindow(5_000, 2_500)]),
+        dict(windows=[TumblingWindow(5_000)], stratify_by="role"),
+    ]
+
+    @staticmethod
+    def _outputs(cfg, frags, tmp_path) -> dict:
+        outs = {}
+        for mode in ("objects", "seq", "pipe", "per_fragment"):
+            out = str(tmp_path / mode)
+            job = StreamingSynopsisJob(cfg, out)
+            job.combine = mode != "objects"
+            try:
+                if mode == "per_fragment":  # the evaluator's shape, then the flush
+                    for k in range(1, len(frags) + 1):
+                        job.run(frags[:k], final_flush=False)
+                    job.run(frags)
+                else:
+                    job.run(frags, pipelined=mode == "pipe")
+            finally:
+                job.shutdown()
+            outs[mode] = _job_output(out)
+        return outs
+
+    def test_task_shape(self, ray_session, tiny_fixture, tmp_path, monkeypatch):
+        """A one-fragment run that closes windows submits one task; a
+        pipelined run submits a separate split for every fragment after its
+        first; the object layout fuses nothing."""
+        import condor_ray.engine.streaming as streaming
+
+        log: list[str] = []
+        for name in ("_partition_task", "_merge_and_emit", "_ingest_partition",
+                     "_merge_partials_and_emit"):
+            monkeypatch.setattr(streaming, name,
+                                _Counted(getattr(streaming, name), name, log))
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
+                                 windows=[TumblingWindow(5_000)], parallelism=2)
+        job = StreamingSynopsisJob(cfg, str(tmp_path / "runs"))
+        try:
+            for k in range(1, len(frags) + 1):
+                log.clear()
+                assert job.run(frags[:k], final_flush=False)["windows_emitted"] > 0
+                assert log == ["_merge_and_emit+split"], k
+        finally:
+            job.shutdown()
+        # no window closes, and every third fragment folds: still one task
+        monkeypatch.setattr(streaming, "_FOLD_EVERY", 2)
+        job = StreamingSynopsisJob(
+            BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
+                               windows=[TumblingWindow(3_600_000)], parallelism=2),
+            str(tmp_path / "folds"))
+        try:
+            for k in range(1, len(frags) + 1):
+                log.clear()
+                job.run(frags[:k], final_flush=False)
+                assert log == ["_merge_and_emit+split"], k
+                assert len(job.state) == 1 + (k - 1) % 2
+        finally:
+            job.shutdown()
+        for combine in (True, False):
+            log.clear()
+            job = StreamingSynopsisJob(cfg, str(tmp_path / f"pipe-{combine}"))
+            job.combine = combine
+            try:
+                job.run(frags, final_flush=False, pipelined=True)
+            finally:
+                job.shutdown()
+            splits = log.count("_partition_task")
+            if combine:
+                assert log[0] == "_merge_and_emit+split"
+                assert splits == len(frags) - 1 and log.count("_merge_and_emit+split") == 1
+                assert log.count("_merge_and_emit") == len(frags) - 1
+            else:
+                assert splits == len(frags) and not any("+split" in c for c in log)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["cm_5s", "hll_sliding", "cm_strata"])
+    def test_per_fragment_runs_write_one_run(self, ray_session, tiny_fixture, tmp_path,
+                                             cfg):
+        """One run per fragment (every fragment fused), one sequential run
+        (every fragment fused) and one pipelined run (only the first fused)
+        write the object layout's emit files and manifest fragment lines."""
+        frags = transcript_fragments(tiny_fixture)
+        cfg = BuildConfiguration(**{"synopsis": "CountMinSketch", "params": (128, 3, 7),
+                                    "parallelism": 2, **cfg})
+        outs = self._outputs(cfg, frags, tmp_path)
+        emits, lines = outs["objects"]
+        assert len(emits) == len(frags) + 1 and len(lines) == len(frags)
+        for mode in ("seq", "pipe", "per_fragment"):
+            assert outs[mode] == outs["objects"], mode
+
+    @pytest.mark.parametrize("case", ["no_statistics", "timestamp_ms"])
+    def test_footer_watermarks_are_exact(self, ray_session, tiny_fixture, tmp_path,
+                                         case):
+        """Fragments without footer statistics (the column-read fallback) and
+        with a timestamp[ms] ts column close at their rows' watermark."""
+        frags = []
+        for i, src in enumerate(transcript_fragments(tiny_fixture)):
+            t = pq.read_table(src)
+            if case == "timestamp_ms":
+                ts = t.schema.get_field_index("ts")
+                t = t.set_column(ts, "ts", t["ts"].cast(pa.timestamp("ms"),
+                                                        safe=False))
+            frags.append(str(tmp_path / f"fragment-{i:05d}.parquet"))
+            pq.write_table(t, frags[-1], write_statistics=case != "no_statistics")
+            md = pq.ParquetFile(frags[-1]).metadata
+            ts_col = md.schema.names.index("ts")
+            assert md.row_group(0).column(ts_col).is_stats_set == (case != "no_statistics")
+        cfg = BuildConfiguration(synopsis="HyperLogLogSketch", params=(10, 7),
+                                 windows=[SlidingWindow(5_000, 2_500)], parallelism=2)
+        outs = self._outputs(cfg, frags, tmp_path)
+        assert len(outs["objects"][0]) == len(frags) + 1
+        for mode in ("seq", "pipe", "per_fragment"):
+            assert outs[mode] == outs["objects"], mode
+
+    def test_footer_that_disagrees_with_rows_raises(self, ray_session, tiny_fixture,
+                                                   tmp_path, monkeypatch):
+        """A fused close whose footer watermark is not its rows' raises once
+        the fragment's meta resolves."""
+        from condor_ray.engine import driver
+
+        stats = driver.fragment_ts_stats
+        monkeypatch.setattr(driver, "fragment_ts_stats",
+                            lambda path: (stats(path)[0], stats(path)[1] - 1))
+        cfg = BuildConfiguration(synopsis="CountMinSketch", params=(128, 3, 7),
+                                 windows=[TumblingWindow(5_000)], parallelism=2)
+        job = StreamingSynopsisJob(cfg, str(tmp_path / "out"))
+        try:
+            with pytest.raises(RuntimeError, match="footer"):
+                job.run(transcript_fragments(tiny_fixture)[:2], final_flush=False)
+        finally:
+            job.shutdown()
 
 
 class TestFlushKeepsWatermark:
